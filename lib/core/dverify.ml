@@ -21,27 +21,11 @@ type stats = {
 type result = { verdict : verdict; stats : stats }
 
 (* ------------------------------------------------------------------ *)
-(* Adversary moves: all subsets of the currently steady applications,
-   in every service-relevant arrival order.  The EDF insertion is
-   deterministic except among simultaneous arrivals with equal T*_w, so
-   only permutations within equal-T*_w groups are enumerated. *)
-
-(* Applications that may legally be disturbed at the coming tick: those
-   already steady, plus those whose quiet period expires exactly at the
-   tick (the Safe -> Steady transition fires before disturbances are
-   admitted, so an arrival at that very instant is admissible — the TA
-   model allows it and the discrete engine must too). *)
-let disturbable_ids (specs : Sched.Appspec.t array) state =
-  let acc = ref [] in
-  Array.iteri
-    (fun i p ->
-      match p with
-      | Sched.Slot_state.Steady -> acc := i :: !acc
-      | Sched.Slot_state.Safe { age } when age + 1 >= specs.(i).Sched.Appspec.r ->
-        acc := i :: !acc
-      | Sched.Slot_state.Waiting _ | Running _ | Safe _ | Error -> ())
-    state.Sched.Slot_state.phases;
-  List.rev !acc
+(* Adversary moves: all subsets of the applications disturbable at the
+   coming tick ({!Sched.Slot_state.disturbable}), in every
+   service-relevant arrival order.  The EDF insertion is deterministic
+   except among simultaneous arrivals with equal T*_w, so only
+   permutations within equal-T*_w groups are enumerated. *)
 
 let rec permutations = function
   | [] -> [ [] ]
@@ -77,15 +61,16 @@ let arrival_orders (specs : Sched.Appspec.t array) subset =
     [ [] ] per_group
 
 (* ------------------------------------------------------------------ *)
-(* Generic explorer.  A node is a slot state plus (in bounded mode) the
-   per-application remaining disturbance budgets.  With [subsume] on,
-   states are pruned by the quiet-age antichain: a state whose [Safe]
-   applications are all at least as old in some explored state (with an
-   otherwise identical configuration) admits a subset of its behaviours
-   and need not be expanded.  The pruning is exact for
-   error-reachability. *)
-
-type node = { st : Sched.Slot_state.t; budget : int array }
+(* Generic explorer over packed states ({!Sched.Slot_state.Packed}): a
+   state is a slot state plus, in bounded mode, the per-application
+   remaining disturbance budgets, encoded as one string.  The engine
+   stores, deduplicates and subsumes encodings; a popped state is
+   decoded once and {!Sched.Slot_state.tick} runs on it for each move.
+   With [subsume] on, states are pruned by the quiet-age antichain: a
+   state whose [Safe] applications are all at least as old in some
+   explored state (with an otherwise identical configuration) admits a
+   subset of its behaviours and need not be expanded.  The pruning is
+   exact for error-reachability. *)
 
 (* Interchangeable applications: identical timing parameters mean the
    transition relation commutes with any permutation inside the orbit
@@ -116,24 +101,73 @@ let orbit_max_wait part max_wait =
         List.iter (fun i -> max_wait.(i) <- m) members)
     (Search.Symmetry.orbits part)
 
-(* the label of a transition: the adversary's move plus the tick
-   outcome the merge loop needs (slot grants for max_wait, fresh
-   errors for the verdict) — carrying it on the edge keeps the
-   successor function pure, so the engine may run it on any domain *)
-type move = {
-  disturbed : int list;
-  granted : (int * int) list;
-  new_errors : int list;
-}
+module Packed = Sched.Slot_state.Packed
+
+(* disturbable sets, as ascending id lists *)
+module Ids = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash = List.fold_left (fun h i -> (h * 31) + i + 1) 0
+end)
 
 let explore_impl ~pool ~order ~policy ~subsume ~symmetry ~instances ~deadline
     ~max_states specs =
   let n = Array.length specs in
   let max_wait = Array.make n (-1) in
   let bounded = instances <> None in
-  let initial_budget =
-    match instances with Some k -> Array.make n k | None -> [||]
+  let codec = Packed.layout ?instances specs in
+  let budgets s =
+    if bounded then Array.init n (Packed.budget codec s) else [||]
   in
+  (* the move lists, memoised per disturbable set.  [successors] may
+     run on pool domains, so the table is only touched under the lock;
+     two domains racing on one set compute equal lists and the first
+     to publish wins. *)
+  let memo = Ids.create 64 and memo_lock = Mutex.create () in
+  let moves_of st budget =
+    let available = Sched.Slot_state.disturbable specs st in
+    let available =
+      if bounded then List.filter (fun id -> budget.(id) > 0) available
+      else available
+    in
+    Mutex.lock memo_lock;
+    let known = Ids.find_opt memo available in
+    Mutex.unlock memo_lock;
+    match known with
+    | Some moves -> moves
+    | None ->
+      let moves =
+        Array.of_list (List.concat_map (arrival_orders specs) (subsets available))
+      in
+      Mutex.protect memo_lock (fun () ->
+          match Ids.find_opt memo available with
+          | Some moves -> moves
+          | None ->
+            Ids.add memo available moves;
+            moves)
+  in
+  (* A transition label is one int: the move's index in its state's
+     move list, the single grant a tick can make (0 for none, else
+     1 + id * wspan + wait) and, in bit 0, whether the tick produced an
+     error.  Carrying the grant on the edge keeps [successors] pure, so
+     the engine may run it on any domain. *)
+  let wspan =
+    1 + Array.fold_left (fun m s -> Int.max m s.Sched.Appspec.t_w_max) 0 specs
+  in
+  let gspan = 1 + (n * wspan) in
+  let label_of k (out : Sched.Slot_state.outcome) =
+    let grant =
+      match out.Sched.Slot_state.granted with
+      | [] -> 0
+      | [ (id, wt) ] -> 1 + (id * wspan) + wt
+      | _ :: _ :: _ -> invalid_arg "Dverify: more than one grant in a tick"
+    in
+    (((k * gspan) + grant) lsl 1)
+    lor match out.Sched.Slot_state.new_errors with [] -> 0 | _ :: _ -> 1
+  in
+  let move_of label = (label lsr 1) / gspan in
+  let grant_of label = (label lsr 1) mod gspan in
   (* in bounded mode, an application with no budget left can never be
      disturbed again, so its quiet countdown is behaviourally inert *)
   let normalize st budget =
@@ -141,152 +175,73 @@ let explore_impl ~pool ~order ~policy ~subsume ~symmetry ~instances ~deadline
       Sched.Slot_state.force_steady st ~keep_quiet:(fun i -> budget.(i) > 0)
     else st
   in
-  let initial =
-    { st = Sched.Slot_state.initial specs; budget = initial_budget }
+  let encode st budget =
+    if bounded then Packed.encode codec ~budget st else Packed.encode codec st
   in
-  (* the canonical relabelling of a node, [None] when the node is its
-     own representative: within each orbit of identical-parameter
-     applications, members are sorted by their full local situation —
-     phase (real quiet age included), disturbance budget, position in
-     the shared EDF buffer, slot ownership.  Ties are genuinely
-     interchangeable (equal phase, equal budget, both outside the
-     buffer, neither owning), so the relabelled state is independent of
-     which permutation realises it.  Both dedup channels call this once
-     per generated successor, in the engine's sequential merge order,
-     which keeps the collapse counter deterministic at any pool size. *)
+  let initial =
+    encode (Sched.Slot_state.initial specs)
+      (match instances with Some k -> Array.make n k | None -> [||])
+  in
+  (* the canonical relabelling: within each orbit of identical-parameter
+     applications, the per-application fields sorted by phase (real
+     quiet age included), disturbance budget and position in the shared
+     EDF buffer — the owner is the one running member.  Both dedup
+     channels call this once per generated successor, in the engine's
+     sequential merge order, which keeps the collapse counter
+     deterministic at any pool size. *)
   let canon =
     match symmetry with
-    | None -> fun _ -> None
+    | None -> fun s -> s
     | Some part ->
-      fun nd ->
-        let st = nd.st in
-        let bufpos = Array.make n (-1) in
-        List.iteri
-          (fun pos id -> bufpos.(id) <- pos)
-          st.Sched.Slot_state.buffer;
-        let descr i =
-          ( st.Sched.Slot_state.phases.(i),
-            (if bounded then nd.budget.(i) else 0),
-            bufpos.(i),
-            st.Sched.Slot_state.owner = Some i )
-        in
-        let perm = Search.Symmetry.canonical_perm part ~descr in
-        if Search.Symmetry.is_identity perm then None
-        else begin
-          Search.Symmetry.note_collapsed ();
-          Some perm
-        end
-  in
-  let permute_state perm st budget =
-    let phases' = Array.make n st.Sched.Slot_state.phases.(0) in
-    Array.iteri (fun i p -> phases'.(perm.(i)) <- p) st.Sched.Slot_state.phases;
-    let buffer' = List.map (fun id -> perm.(id)) st.Sched.Slot_state.buffer in
-    let owner' = Option.map (fun id -> perm.(id)) st.Sched.Slot_state.owner in
-    let budget' =
-      if not bounded then budget
-      else begin
-        let b = Array.make n 0 in
-        Array.iteri (fun i v -> b.(perm.(i)) <- v) budget;
-        b
-      end
-    in
-    (phases', buffer', owner', budget')
-  in
-  let abstract node =
-    let perm = canon node in
-    let phases, buffer, owner, budget =
-      match perm with
-      | None ->
-        ( node.st.Sched.Slot_state.phases,
-          node.st.Sched.Slot_state.buffer,
-          node.st.Sched.Slot_state.owner,
-          node.budget )
-      | Some perm -> permute_state perm node.st node.budget
-    in
-    let ages = Array.make (Array.length phases) (-1) in
-    let masked =
-      Array.mapi
-        (fun i p ->
-          match p with
-          | Sched.Slot_state.Safe { age } ->
-            ages.(i) <- age;
-            Sched.Slot_state.Safe { age = 0 }
-          | Sched.Slot_state.Steady | Waiting _ | Running _ | Error -> p)
-        phases
-    in
-    ((masked, buffer, owner, budget), ages)
-  in
-  let covers explored ages =
-    (* [explored] admits every behaviour of [ages]: pointwise at least
-       as close to becoming disturbable again *)
-    Array.for_all2 (fun e a -> e = a || (a >= 0 && e >= a)) explored ages
-  in
-  let moves_of node =
-    let available =
-      let steady = disturbable_ids specs node.st in
-      if bounded then List.filter (fun id -> node.budget.(id) > 0) steady
-      else steady
-    in
-    List.concat_map (arrival_orders specs) (subsets available)
+      let orbits =
+        Array.to_list (Search.Symmetry.orbits part)
+        |> List.filter_map (function
+             | [] | [ _ ] -> None
+             | members -> Some (Array.of_list members))
+      in
+      fun s ->
+        let c = Packed.sort_apps codec orbits s in
+        if c != s then Search.Symmetry.note_collapsed ();
+        c
   in
   let module Space = Search.Make (struct
-    type state = node
-    type label = move
+    type state = string
+    type label = int
 
     module Key = struct
-      type t =
-        Sched.Slot_state.phase array * int list * int option * int array
+      type t = string
 
-      let equal (a : t) (b : t) = a = b
-
-      (* the default polymorphic hash inspects only ~10 nodes, which
-         makes structurally similar scheduler states collide heavily;
-         hash deeply (on typed fields — no [Obj] anywhere) *)
-      let hash (k : t) = Hashtbl.hash_param 1000 1000 k
+      let equal = String.equal
+      let hash (k : t) = Hashtbl.hash k
     end
 
-    (* dedup key: the state's payload as a plain tuple (equality and
-       hash coincide bit-for-bit with the former node-based key), first
-       relabelled canonically when the node is not its own orbit
-       representative.  [Slot_state.t] is private, so the canonical
-       form lives only in the key, never as a state.  (This exact table
-       only dedups in [`Bfs] mode; under subsumption the engine runs
-       non-exact and [abstract] above carries the quotient.) *)
-    let key nd =
-      match canon nd with
-      | None ->
-        ( nd.st.Sched.Slot_state.phases,
-          nd.st.Sched.Slot_state.buffer,
-          nd.st.Sched.Slot_state.owner,
-          nd.budget )
-      | Some perm -> permute_state perm nd.st nd.budget
+    (* the exact table only dedups in [`Bfs] mode; under subsumption
+       the engine runs non-exact and the coverage split below carries
+       the quotient *)
+    let key = canon
 
-    let successors node =
-      List.map
-        (fun disturbed ->
-          let st', outcome =
-            Sched.Slot_state.tick ~policy specs node.st ~disturbed
-          in
-          let budget' =
-            if (not bounded) || disturbed = [] then node.budget
-            else begin
-              let b = Array.copy node.budget in
-              List.iter (fun id -> b.(id) <- b.(id) - 1) disturbed;
-              b
-            end
-          in
-          ( {
-              disturbed;
-              granted = outcome.Sched.Slot_state.granted;
-              new_errors = outcome.Sched.Slot_state.new_errors;
-            },
-            { st = normalize st' budget'; budget = budget' } ))
-        (moves_of node)
+    let successors s =
+      let st = Packed.decode codec s in
+      let budget = budgets s in
+      let moves = moves_of st budget in
+      let acc = ref [] in
+      for k = Array.length moves - 1 downto 0 do
+        let disturbed = moves.(k) in
+        let st', out = Sched.Slot_state.tick ~policy specs st ~disturbed in
+        let budget' =
+          if not bounded then budget
+          else begin
+            let b = Array.copy budget in
+            List.iter (fun id -> b.(id) <- b.(id) - 1) disturbed;
+            b
+          end
+        in
+        acc := (label_of k out, encode (normalize st' budget') budget') :: !acc
+      done;
+      !acc
 
     let is_target label _ =
-      match label with
-      | Some m -> m.new_errors <> []
-      | None -> false
+      match label with Some l -> l land 1 = 1 | None -> false
   end) in
   let coverage =
     if not subsume then None
@@ -294,34 +249,59 @@ let explore_impl ~pool ~order ~policy ~subsume ~symmetry ~instances ~deadline
       Some
         (Space.Coverage
            {
-             split = abstract;
-             ck_equal = ( = );
-             ck_hash = Hashtbl.hash_param 1000 1000;
-             covers;
+             split = (fun s -> Packed.split_ages codec (canon s));
+             ck_equal = String.equal;
+             ck_hash = Hashtbl.hash;
+             (* [explored] admits every behaviour of [ages]: pointwise
+                at least as close to becoming disturbable again (equal
+                keys have their [Safe] applications in the same
+                places) *)
+             covers =
+               (fun explored ages ->
+                 let ok = ref true and k = ref 0 in
+                 while !ok && !k < Array.length ages do
+                   if explored.(!k) < ages.(!k) then ok := false;
+                   incr k
+                 done;
+                 !ok);
            })
   in
   let r =
     Space.run ~order ~pool ~exact:(not subsume) ?coverage ?max_states
       ~max_states_check:`Pop ?deadline ~deadline_mask:1023
       ~target_check:`Generate
-      ~on_edge:(fun m _ ->
-        List.iter
-          (fun (id, wt) -> if wt > max_wait.(id) then max_wait.(id) <- wt)
-          m.granted)
+      ~on_edge:(fun label _ ->
+        let g = grant_of label in
+        if g > 0 then begin
+          let id = (g - 1) / wspan and wt = (g - 1) mod wspan in
+          if wt > max_wait.(id) then max_wait.(id) <- wt
+        end)
       ~initial_peak:0 ~metrics_prefix:"dverify" initial
   in
   let s = r.Space.stats in
   let verdict =
     match r.Space.outcome with
     | Space.Completed -> Safe
-    | Space.Found _ ->
-      let steps = List.map (fun (m, nd) -> (m.disturbed, nd.st)) r.Space.trace in
-      let failing =
-        match List.rev r.Space.trace with
-        | (m, _) :: _ -> m.new_errors
-        | [] -> assert false (* the initial state is never an error *)
+    | Space.Found last ->
+      (* replay the labels: each names its move in the predecessor's
+         move list *)
+      let steps, _ =
+        List.fold_left
+          (fun (acc, prev) (label, s) ->
+            let st = Packed.decode codec prev in
+            let disturbed = (moves_of st (budgets prev)).(move_of label) in
+            ((disturbed, Packed.decode codec s) :: acc, s))
+          ([], initial) r.Space.trace
       in
-      Unsafe { steps; failing }
+      (* the search stops at the first tick that produces an error, so
+         every application in error at the end failed at that tick *)
+      let final = Packed.decode codec last in
+      let failing =
+        List.filter
+          (fun i -> Sched.Slot_state.phase final i = Sched.Slot_state.Error)
+          (List.init n Fun.id)
+      in
+      Unsafe { steps = List.rev steps; failing }
     | Space.Exhausted (Search.Max_states cap) -> Undetermined (State_budget cap)
     | Space.Exhausted (Search.Deadline d) -> Undetermined (Deadline d)
   in

@@ -17,16 +17,6 @@ let no_faults =
     sensor_drops = 0;
   }
 
-(* an application may legally receive a disturbance at the coming tick
-   when it is already steady or its quiet period expires exactly now
-   (mirrors Dverify.disturbable_ids; the Safe -> Steady transition
-   fires inside the tick before admission) *)
-let disturbable (specs : Sched.Appspec.t array) state id =
-  match Sched.Slot_state.phase state id with
-  | Sched.Slot_state.Steady -> true
-  | Sched.Slot_state.Safe { age } -> age + 1 >= specs.(id).Sched.Appspec.r
-  | Sched.Slot_state.Waiting _ | Running _ | Error -> false
-
 let run_with_faults ?policy ?plan (scenario : Scenario.t) =
   let apps = Array.of_list scenario.Scenario.apps in
   let n = Array.length apps in
@@ -74,7 +64,8 @@ let run_with_faults ?policy ?plan (scenario : Scenario.t) =
        running, or in error (the nominal sporadic-model guarantee no
        longer holds); such arrivals are suppressed, not crashes *)
     let deliverable, dropped =
-      List.partition (disturbable specs (Sched.Arbiter.state arbiter)) arrivals
+      let ok = Sched.Slot_state.disturbable specs (Sched.Arbiter.state arbiter) in
+      List.partition (fun id -> List.mem id ok) arrivals
     in
     List.iter (fun id -> injected := (k, id) :: !injected) deliverable;
     List.iter (fun id -> suppressed := (k, id) :: !suppressed) dropped;

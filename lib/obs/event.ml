@@ -33,6 +33,7 @@ let with_lock f =
 let default_capacity = 65536
 let capacity = ref default_capacity
 let queue : t Queue.t = Queue.create ()
+let queued : (string, int) Hashtbl.t = Hashtbl.create 16 (* per name *)
 let dropped_count = ref 0
 
 let enabled () = Atomic.get on
@@ -47,13 +48,16 @@ let set_capacity n =
   with_lock (fun () ->
       capacity := Int.max 1 n;
       Queue.clear queue;
+      Hashtbl.reset queued;
       dropped_count := 0)
 
 let dropped () = with_lock (fun () -> !dropped_count)
 
-(* Drop-newest under pressure: the bounded queue keeps the run's
-   prefix intact (heartbeat rates stay interpretable) and the drop
-   counter reports the truncation. *)
+(* Drop-newest under pressure, per event name: each name keeps the
+   prefix of its own records intact (heartbeat rates stay
+   interpretable, and a chatty source such as pool task lifecycles
+   cannot crowd the search's records out) and the drop counter reports
+   the truncation. *)
 let emit name fields =
   if Atomic.get on then begin
     let ev =
@@ -65,19 +69,25 @@ let emit name fields =
       }
     in
     with_lock (fun () ->
-        if Queue.length queue >= !capacity then incr dropped_count
-        else Queue.add ev queue)
+        let k = Option.value ~default:0 (Hashtbl.find_opt queued name) in
+        if k >= !capacity then incr dropped_count
+        else begin
+          Hashtbl.replace queued name (k + 1);
+          Queue.add ev queue
+        end)
   end
 
 let drain () =
   with_lock (fun () ->
       let out = List.of_seq (Queue.to_seq queue) in
       Queue.clear queue;
+      Hashtbl.reset queued;
       out)
 
 let reset () =
   with_lock (fun () ->
       Queue.clear queue;
+      Hashtbl.reset queued;
       dropped_count := 0);
   Atomic.set on false
 

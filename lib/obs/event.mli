@@ -10,9 +10,12 @@
     With the switch off, {!emit} is an atomic load and nothing else.
 
     The queue is mutex-protected (emissions come from pool workers)
-    and bounded (default 65536): under pressure the {e newest} event
-    is dropped and counted, keeping the run's prefix intact so rates
-    computed from heartbeats stay interpretable. *)
+    and bounded per event name (default 65536 records of each name):
+    under pressure the {e newest} event of that name is dropped and
+    counted, keeping each name's prefix intact so rates computed from
+    heartbeats stay interpretable and a chatty source (pool task
+    lifecycles of a large parallel search) cannot crowd the others
+    out. *)
 
 type field =
   | Int of int
@@ -43,12 +46,12 @@ val drain : unit -> t list
 (** All queued events in emission order, clearing the queue. *)
 
 val dropped : unit -> int
-(** Events discarded because the queue was full, since the last
-    {!reset}/{!set_capacity}. *)
+(** Events discarded because their name's share of the queue was full,
+    since the last {!reset}/{!set_capacity}. *)
 
 val set_capacity : int -> unit
-(** Replace the queue bound (min 1, default 65536).  Clears the queue
-    and zeroes {!dropped}. *)
+(** Replace the per-name queue bound (min 1, default 65536).  Clears
+    the queue and zeroes {!dropped}. *)
 
 val reset : unit -> unit
 (** Disable, clear the queue, zero {!dropped}. *)

@@ -108,27 +108,11 @@ let overload_trigger specs =
   in
   u > 1.
 
-(* ids the adversary may disturb at the coming tick: already steady,
-   or leaving the quiet phase exactly at the tick (the Safe -> Steady
-   transition fires inside [tick] before admissions, mirroring
-   [Dverify.disturbable_ids]) *)
-let disturbable (specs : Appspec.t array) (st : Slot_state.t) =
-  let acc = ref [] in
-  Array.iteri
-    (fun i p ->
-      match p with
-      | Slot_state.Steady -> acc := i :: !acc
-      | Slot_state.Safe { age } when age + 1 >= specs.(i).Appspec.r ->
-        acc := i :: !acc
-      | Slot_state.Waiting _ | Running _ | Safe _ | Error -> ())
-    st.Slot_state.phases;
-  List.rev !acc
-
 let saturate ?policy specs ~order ~horizon =
   let rec run st steps t =
     if t >= horizon then None
     else begin
-      let disturbed = order (disturbable specs st) in
+      let disturbed = order (Slot_state.disturbable specs st) in
       let st', (outcome : Slot_state.outcome) =
         Slot_state.tick ?policy specs st ~disturbed
       in

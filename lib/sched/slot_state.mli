@@ -100,6 +100,72 @@ val force_steady : t -> keep_quiet:(int -> bool) -> t
     its quiet countdown is behaviourally irrelevant and collapsing it
     shrinks the state space. *)
 
+val disturbable : Appspec.t array -> t -> int list
+(** The applications that may legally be disturbed at the coming tick,
+    ascending: those already [Steady], plus those whose quiet period
+    expires exactly at the tick (the [Safe -> Steady] step fires before
+    disturbances are admitted, so an arrival at that very instant is
+    admissible). *)
+
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Appspec.t array -> Format.formatter -> t -> unit
+
+(** A bijective bit-field codec for the states of one slot group.
+
+    Every timing variable ranges over a small finite set fixed by the
+    group's specs (paper Sec. 5), so a state fits in one field per
+    application: a phase tag, the wait / granted wait / quiet age, the
+    position in the EDF buffer or the served dwell [ct], and — for
+    bounded-instance verification — the remaining disturbance budget.
+    [dt_min]/[dt_max] follow from the granted wait and the owner is the
+    one [Running] application, so they cost no bits.  The encoding is a
+    string of [ceil (bits / 8)] bytes, for any group size; equal
+    strings are equal states (with equal budgets).  Verifiers store,
+    deduplicate and subsume encodings and decode a state only to run
+    {!tick} on it. *)
+module Packed : sig
+  type layout
+
+  val layout : ?instances:int -> Appspec.t array -> layout
+  (** The field layout of [specs]' states; [instances] (default: no
+      budget field) bounds the per-application budget.  Any number of
+      applications fits; one application's field is [3 + bits(r - 1) +
+      bits(instances) + max (bits(n - 1)) (bits(max T⁺_dw))] bits.
+      @raise Invalid_argument on a negative [instances] or when one
+      application's field would exceed 49 bits. *)
+
+  val bits : layout -> int
+  (** Bits in one encoding (summed over the applications). *)
+
+  val encode : layout -> ?budget:int array -> t -> string
+  (** [budget] (indexed by [Appspec.id], default all 0) is stored
+      beside the state.  Total on every state {!initial}, {!tick} and
+      {!force_steady} produce for the layout's specs.
+      @raise Invalid_argument on a state or budget outside the layout. *)
+
+  val decode : layout -> string -> t
+  (** Inverse of {!encode}: [decode l (encode l ?budget t)] is [t].
+      @raise Invalid_argument on a string of the wrong length or whose
+      fields cannot describe a state (unknown tag, a wait past [T*_w],
+      a buffer position taken twice or left open, two owners). *)
+
+  val budget : layout -> string -> int -> int
+  (** The budget stored for one application. *)
+
+  val sort_apps : layout -> int array list -> string -> string
+  (** Within each group of applications (ids, ascending; the members
+      must have identical timing parameters), reassign the
+      per-application fields to the members in ascending order of
+      (phase, budget, buffer position) — the polymorphic order on
+      those values, with phases ordered [Steady < Error < Waiting <
+      Running < Safe] and by their payloads within a constructor.
+      This is the symmetry quotient's canonical relabelling, computed
+      on the fields without decoding.  Physically the argument when
+      every group is already in order. *)
+
+  val split_ages : layout -> string -> string * int array
+  (** The quiet-age antichain's two halves of an encoding: the encoding
+      with every [Safe] application's age set to 0 (physically the
+      argument when that changes nothing), and those ages in id
+      order. *)
+end

@@ -22,50 +22,84 @@ module type STATE_SPACE = sig
   val is_target : label option -> state -> bool
 end
 
-(* A chained hash table whose equality and hash are runtime values, so
-   the coverage antichain can be keyed by an existentially-typed group
-   key without a functor application per client. *)
-module Ht = struct
+(* Open addressing with linear probing over flat arrays, with equality
+   and hash supplied at run time so the coverage antichain can be keyed
+   by an existentially-typed group key.  [hashes.(i)] is the
+   non-negative hash of slot [i]'s key, or -1 when the slot is empty.
+   The key and value arrays are created by the first insertion, whose
+   binding fills them: no dummy value of an abstract type is needed.
+   Callers hash once and pass the hash to [find] and [add]. *)
+module Oa = struct
   type ('k, 'v) t = {
     equal : 'k -> 'k -> bool;
     hash : 'k -> int;
-    mutable buckets : ('k * 'v) list array;
+    mutable hashes : int array;
+    mutable keys : 'k array;
+    mutable vals : 'v array;
     mutable size : int;
   }
 
-  let create ~equal ~hash n =
-    { equal; hash; buckets = Array.make (Int.max 16 n) []; size = 0 }
+  let create ~equal ~hash =
+    { equal; hash; hashes = [||]; keys = [||]; vals = [||]; size = 0 }
 
-  let index t k = t.hash k land max_int mod Array.length t.buckets
+  let hash t k = t.hash k land max_int
 
-  let find_opt t k =
-    let rec go = function
-      | [] -> None
-      | (k', v) :: rest -> if t.equal k k' then Some v else go rest
-    in
-    go t.buckets.(index t k)
-
-  let grow t =
-    let old = t.buckets in
-    t.buckets <- Array.make (2 * Array.length old) [];
-    Array.iter
-      (List.iter (fun ((k, _) as cell) ->
-           let i = index t k in
-           t.buckets.(i) <- cell :: t.buckets.(i)))
-      old
-
-  let replace t k v =
-    let i = index t k in
-    let bucket = t.buckets.(i) in
-    if List.exists (fun (k', _) -> t.equal k k') bucket then
-      t.buckets.(i) <-
-        (k, v) :: List.filter (fun (k', _) -> not (t.equal k k')) bucket
+  (* the slot holding [k], or -1 *)
+  let find t h k =
+    if t.size = 0 then -1
     else begin
-      t.buckets.(i) <- (k, v) :: bucket;
-      t.size <- t.size + 1;
-      if t.size > 2 * Array.length t.buckets then grow t
+      let mask = Array.length t.hashes - 1 in
+      let rec probe i =
+        let hi = t.hashes.(i) in
+        if hi < 0 then -1
+        else if hi = h && t.equal t.keys.(i) k then i
+        else probe ((i + 1) land mask)
+      in
+      probe (h land mask)
     end
+
+  let rec empty_slot t i =
+    if t.hashes.(i) < 0 then i
+    else empty_slot t ((i + 1) land (Array.length t.hashes - 1))
+
+  (* bind a key [find] just missed; keeps the load at most 1/2 *)
+  let add t h k v =
+    if 2 * (t.size + 1) > Array.length t.hashes then begin
+      let hashes = t.hashes and keys = t.keys and vals = t.vals in
+      let cap = Int.max 64 (2 * Array.length hashes) in
+      t.hashes <- Array.make cap (-1);
+      t.keys <- Array.make cap k;
+      t.vals <- Array.make cap v;
+      Array.iteri
+        (fun i hi ->
+          if hi >= 0 then begin
+            let j = empty_slot t (hi land (cap - 1)) in
+            t.hashes.(j) <- hi;
+            t.keys.(j) <- keys.(i);
+            t.vals.(j) <- vals.(i)
+          end)
+        hashes
+    end;
+    let i = empty_slot t (h land (Array.length t.hashes - 1)) in
+    t.hashes.(i) <- h;
+    t.keys.(i) <- k;
+    t.vals.(i) <- v;
+    t.size <- t.size + 1
 end
+
+(* Antichain chain operations, closure-free on the hot path: does some
+   stored element cover [abs], and the chain without the elements [abs]
+   covers — the list itself when it keeps everything, so an insertion
+   that drops nothing allocates one cell *)
+let rec any_covers covers abs = function
+  | [] -> false
+  | e :: rest -> covers e abs || any_covers covers abs rest
+
+let rec drop_covered covers abs = function
+  | [] -> []
+  | e :: rest as l ->
+    let rest' = drop_covered covers abs rest in
+    if covers abs e then rest' else if rest' == rest then l else e :: rest'
 
 (* Minimal binary min-heap over (score, seq): FIFO among equal scores,
    so Priority degenerates to Bfs under a constant score. *)
@@ -147,10 +181,11 @@ module Make (S : STATE_SPACE) = struct
     trace : (S.label * S.state) list;
   }
 
-  module Xt = Hashtbl.Make (S.Key)
-
   type frontier =
-    | Q of int Queue.t
+    | Fifo of int ref
+        (* every stored state is pushed as it is stored (a stored
+           target ends the search), so the FIFO queue is exactly the ids
+           [next, nstored) *)
     | Stack of int list ref
     | H of Heap.t * (S.state -> int)
 
@@ -159,77 +194,99 @@ module Make (S : STATE_SPACE) = struct
       ?(target_check = `Insert) ?on_edge ?on_insert ?(initial_peak = 0)
       ?metrics_prefix ?(heartbeat = 1024) initial =
     let t0 = Obs.Clock.now () in
-    (* dense state store: insertion order assigns ids, the parent table
-       and the frontier hold ids, never whole structural states *)
+    (* dense state store: insertion order assigns ids; the parent table
+       (parent id, -1 for the initial state, and the label of the step
+       in) and the frontier hold ids, never whole structural states.
+       The label array is created by the first labelled step. *)
     let store = ref (Array.make 1024 initial) in
-    let parent = ref (Array.make 1024 None) in
+    let parent = ref (Array.make 1024 (-1)) in
+    let labels = ref [||] in
     let nstored = ref 0 in
+    let grow a fill =
+      let bigger = Array.make (2 * !nstored) fill in
+      Array.blit a 0 bigger 0 !nstored;
+      bigger
+    in
     let add_state st =
       if !nstored = Array.length !store then begin
-        let bigger = Array.make (2 * !nstored) initial in
-        Array.blit !store 0 bigger 0 !nstored;
-        store := bigger;
-        let bigger = Array.make (2 * !nstored) None in
-        Array.blit !parent 0 bigger 0 !nstored;
-        parent := bigger
+        store := grow !store initial;
+        parent := grow !parent (-1);
+        if Array.length !labels > 0 then labels := grow !labels !labels.(0)
       end;
       !store.(!nstored) <- st;
       incr nstored;
       !nstored - 1
     in
+    let link id pid label =
+      if Array.length !labels = 0 then
+        labels := Array.make (Array.length !store) label;
+      !parent.(id) <- pid;
+      !labels.(id) <- label
+    in
     let state_of id = !store.(id) in
     (* dedup: exact table over the client key, then the coverage
        antichain; a query that misses both inserts into both *)
-    let xt : unit Xt.t = Xt.create 4096 in
+    let xt =
+      if exact then Some (Oa.create ~equal:S.Key.equal ~hash:S.Key.hash)
+      else None
+    in
     let dedup_hits = ref 0 and cover_hits = ref 0 in
     let cover_seen =
       Option.map
         (fun (Coverage c) ->
-          let tbl = Ht.create ~equal:c.ck_equal ~hash:c.ck_hash 4096 in
+          let tbl = Oa.create ~equal:c.ck_equal ~hash:c.ck_hash in
           fun st ->
             let k, abs = c.split st in
-            let chain = Option.value ~default:[] (Ht.find_opt tbl k) in
-            if List.exists (fun e -> c.covers e abs) chain then true
-            else begin
-              Ht.replace tbl k
-                (abs :: List.filter (fun e -> not (c.covers abs e)) chain);
+            let h = Oa.hash tbl k in
+            let i = Oa.find tbl h k in
+            if i < 0 then begin
+              Oa.add tbl h k [ abs ];
               false
+            end
+            else begin
+              let chain = tbl.Oa.vals.(i) in
+              any_covers c.covers abs chain
+              || begin
+                   tbl.Oa.vals.(i) <- abs :: drop_covered c.covers abs chain;
+                   false
+                 end
             end)
         coverage
     in
+    let covered st =
+      match cover_seen with
+      | Some f when f st ->
+        incr cover_hits;
+        true
+      | Some _ | None -> false
+    in
     let seen st =
-      if exact then begin
+      match xt with
+      | Some xt ->
         let k = S.key st in
-        if Xt.mem xt k then begin
+        let h = Oa.hash xt k in
+        if Oa.find xt h k >= 0 then begin
           incr dedup_hits;
           true
         end
         else
-          match cover_seen with
-          | Some f when f st ->
-            incr cover_hits;
-            true
-          | Some _ | None ->
-            Xt.replace xt k ();
-            false
-      end
-      else
-        match cover_seen with
-        | Some f when f st ->
-          incr cover_hits;
-          true
-        | Some _ | None -> false
+          covered st
+          || begin
+               Oa.add xt h k ();
+               false
+             end
+      | None -> covered st
     in
     let frontier =
       match order with
-      | Bfs -> Q (Queue.create ())
+      | Bfs -> Fifo (ref 0)
       | Dfs -> Stack (ref [])
       | Priority score -> H (Heap.create (), score)
     in
     let seq = ref 0 in
     let fpush id st =
       match frontier with
-      | Q q -> Queue.add id q
+      | Fifo _ -> ()
       | Stack s -> s := id :: !s
       | H (h, score) ->
         incr seq;
@@ -237,7 +294,9 @@ module Make (S : STATE_SPACE) = struct
     in
     let fpop () =
       match frontier with
-      | Q q -> Queue.pop q
+      | Fifo next ->
+        incr next;
+        !next - 1
       | Stack s -> (
         match !s with
         | id :: rest ->
@@ -248,7 +307,7 @@ module Make (S : STATE_SPACE) = struct
     in
     let fempty () =
       match frontier with
-      | Q q -> Queue.is_empty q
+      | Fifo next -> !next >= !nstored
       | Stack s -> !s = []
       | H (h, _) -> h.Heap.n = 0
     in
@@ -303,14 +362,14 @@ module Make (S : STATE_SPACE) = struct
       (match on_edge with Some f -> f label succ | None -> ());
       if target_check = `Generate && S.is_target (Some label) succ then begin
         let id = add_state succ in
-        !parent.(id) <- Some (parent_id, label);
+        link id parent_id label;
         found := id;
         raise_notrace Exit
       end;
       if not (seen succ) then begin
         let id = add_state succ in
         incr states;
-        !parent.(id) <- Some (parent_id, label);
+        link id parent_id label;
         (match on_insert with Some f -> f succ | None -> ());
         if target_check = `Insert && S.is_target (Some label) succ then begin
           found := id;
@@ -325,6 +384,12 @@ module Make (S : STATE_SPACE) = struct
         incr qlen;
         if !qlen > !waiting_peak then waiting_peak := !qlen
       end
+    in
+    let rec expand parent_id = function
+      | [] -> ()
+      | edge :: rest ->
+        process parent_id edge;
+        expand parent_id rest
     in
     (* seed with the initial state (id 0) *)
     let id0 = add_state initial in
@@ -343,17 +408,17 @@ module Make (S : STATE_SPACE) = struct
            if pop_budget () then raise_notrace Exit;
            let id = fpop () in
            decr qlen;
-           List.iter (process id) (S.successors (state_of id))
+           expand id (S.successors (state_of id))
          done
        else begin
          let pool = Option.get pool in
-         let q = match frontier with Q q -> q | Stack _ | H _ -> assert false in
-         while not (Queue.is_empty q) do
-           let k = Int.min (Queue.length q) (jobs * 4) in
-           let batch = Array.make k id0 in
-           for i = 0 to k - 1 do
-             batch.(i) <- Queue.pop q
-           done;
+         let next =
+           match frontier with Fifo next -> next | Stack _ | H _ -> assert false
+         in
+         while !next < !nstored do
+           let k = Int.min (!nstored - !next) (jobs * 4) in
+           let batch = Array.init k (fun i -> !next + i) in
+           next := !next + k;
            let expanded =
              Par.Pool.map_array pool (fun id -> S.successors (state_of id)) batch
            in
@@ -363,7 +428,7 @@ module Make (S : STATE_SPACE) = struct
                heartbeat_tick ();
                if pop_budget () then raise_notrace Exit;
                decr qlen;
-               List.iter (process batch.(i)) succs)
+               expand batch.(i) succs)
              expanded
          done
        end
@@ -382,9 +447,8 @@ module Make (S : STATE_SPACE) = struct
       if !found < 0 then []
       else begin
         let rec walk id acc =
-          match !parent.(id) with
-          | None -> acc
-          | Some (pid, label) -> walk pid ((label, state_of id) :: acc)
+          let pid = !parent.(id) in
+          if pid < 0 then acc else walk pid ((!labels.(id), state_of id) :: acc)
         in
         walk !found []
       end

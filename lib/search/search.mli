@@ -149,7 +149,7 @@ module Make (S : STATE_SPACE) : sig
 end
 
 module Symmetry : module type of Symmetry
-(** Orbit partitions and canonical-sort keys for clients that quotient
-    their state space by component permutations — see
-    {!Symmetry.canonical_perm}.  The engine is untouched: a client
-    applies the canonical relabelling inside its own [key] function. *)
+(** Orbit partitions for clients that quotient their state space by
+    component permutations.  The engine is untouched: a client applies
+    its canonical relabelling inside its own [key] and coverage
+    [split]. *)

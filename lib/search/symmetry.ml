@@ -27,27 +27,5 @@ let nontrivial t =
 
 let orbits t = Array.copy t.members
 
-let canonical_perm t ~descr =
-  let perm = Array.make (Array.length t.orbit_of) 0 in
-  Array.iter
-    (fun members ->
-      match members with
-      | [] | [ _ ] ->
-        List.iter (fun i -> perm.(i) <- i) members
-      | _ ->
-        let sorted =
-          List.stable_sort
-            (fun a b -> compare (descr a) (descr b))
-            members
-        in
-        List.iter2 (fun slot m -> perm.(m) <- slot) members sorted)
-    t.members;
-  perm
-
-let is_identity perm =
-  let n = Array.length perm in
-  let rec go i = i >= n || (perm.(i) = i && go (i + 1)) in
-  go 0
-
 let note_collapsed () =
   if Obs.Trace_ctx.enabled () then Obs.Metric.count "search.orbit_collapsed" 1

@@ -1,4 +1,4 @@
-(** Orbit partitions and canonical-sort keys for symmetry quotienting.
+(** Orbit partitions for symmetry quotienting.
 
     A client whose states are indexed by a fixed set of components
     (e.g. one sub-state per application) can quotient its search space
@@ -8,14 +8,12 @@
     parameters can be swapped without changing reachability of an
     error, so states that differ only by such a swap are equivalent.
 
-    This module provides the two pure ingredients — the orbit
-    partition (which components are interchangeable) and the
-    canonical permutation (a representative relabelling chosen by
-    sorting each orbit's members by a client descriptor) — plus the
-    shared [search.orbit_collapsed] metric.  The client applies the
-    permutation to its own state representation and uses the result as
-    its dedup key; the engine itself is untouched, so a client that
-    opts out keeps byte-identical behaviour. *)
+    This module provides the orbit partition (which components are
+    interchangeable) plus the shared [search.orbit_collapsed] metric.
+    The client relabels its own state representation canonically
+    within each orbit (e.g. by sorting the members' sub-states) and
+    uses the result as its dedup key; the engine itself is untouched,
+    so a client that opts out keeps byte-identical behaviour. *)
 
 type t
 (** An orbit partition of components [0 .. n-1]. *)
@@ -37,23 +35,6 @@ val orbits : t -> int list array
     guaranteed; singleton orbits included.  Useful for post-run
     fix-ups such as replacing per-member statistics by their orbit
     maximum. *)
-
-val canonical_perm : t -> descr:(int -> 'd) -> int array
-(** The canonical relabelling for one state: within each orbit, the
-    members sorted by the polymorphic order on their descriptors
-    [descr i] are assigned the orbit's index slots in ascending order.
-    Returns [perm] with [perm.(i)] the canonical slot of component
-    [i]; components in singleton orbits are fixed.
-
-    The resulting key is permutation-invariant provided the client's
-    descriptor satisfies: two members of one orbit with equal
-    descriptors are genuinely interchangeable in the state (swapping
-    them yields the identical relabelled state).  Descriptors that
-    embed each component's full local state plus its position in any
-    shared ordered structure (queue index, ownership flag) have this
-    property. *)
-
-val is_identity : int array -> bool
 
 val note_collapsed : unit -> unit
 (** Count one state folded onto a different orbit representative on

@@ -231,6 +231,36 @@ let test_dverify_modes_agree () =
       check_bool "bfs = subsumption" true (v `Bfs = v `Subsumption))
     groups
 
+(* Six apps whose quiet times pass 512 samples take 15-16 bits each,
+   so a packed state needs more than the 62 bits of an int.  Pinned to
+   the verdicts, state and transition counts the engine reported
+   before states were packed. *)
+let wide_group ~t_w_max ~dmin ~dmax =
+  Array.init 6 (fun id ->
+      spec ~name:(Printf.sprintf "W%d" (id + 1)) ~id ~t_w_max ~dmin ~dmax
+        ~r:(512 + (7 * id)) ())
+
+let test_dverify_wide_layout () =
+  let pin label (r : Core.Dverify.result) ~safe ~states ~transitions ~wait =
+    check_bool (label ^ " verdict") safe (is_safe_verdict r.Core.Dverify.verdict);
+    check_int (label ^ " states") states r.Core.Dverify.stats.Core.Dverify.states;
+    check_int (label ^ " transitions") transitions
+      r.Core.Dverify.stats.Core.Dverify.transitions;
+    check_bool (label ^ " max_wait") true
+      (r.Core.Dverify.stats.Core.Dverify.max_wait = Array.make 6 wait)
+  in
+  let tight = wide_group ~t_w_max:2 ~dmin:2 ~dmax:3 in
+  check_bool "unbounded layout exceeds an int" true
+    (Sched.Slot_state.Packed.(bits (layout tight)) > 62);
+  pin "unbounded" (Core.Dverify.verify tight) ~safe:false ~states:61357
+    ~transitions:61358 ~wait:2;
+  let loose = wide_group ~t_w_max:5 ~dmin:1 ~dmax:2 in
+  check_bool "bounded layout exceeds an int" true
+    (Sched.Slot_state.Packed.(bits (layout ~instances:1 loose)) > 62);
+  pin "bounded k=1"
+    (Core.Dverify.verify_bounded ~instances:1 loose)
+    ~safe:true ~states:27208 ~transitions:81400 ~wait:5
+
 let test_dverify_bounded_consistent () =
   let g =
     [|
@@ -639,37 +669,66 @@ let test_fleet_apps_are_wellformed () =
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
-let gen_pair_specs =
+(* 2-4-app groups; about half repeat app 0's timing as app 1, so the
+   symmetry quotient has an orbit to collapse.  Pairs draw from the
+   ranges the pair-only generator used; larger groups get tighter dwell
+   and slack ranges so the zone engine stays affordable. *)
+let gen_group_specs =
   QCheck2.Gen.(
-    let one id name =
-      let* t_w_max = int_range 0 3 in
-      let* dmin = int_range 1 3 in
-      let* extra = int_range 0 2 in
-      let* slack = int_range 1 8 in
-      let dmax = dmin + extra in
-      return
-        (Sched.Appspec.make ~id ~name ~t_w_max
-           ~t_dw_min:(Array.make (t_w_max + 1) dmin)
-           ~t_dw_max:(Array.make (t_w_max + 1) dmax)
-           ~r:(t_w_max + dmax + slack))
+    let* n = int_range 2 4 in
+    let pair = n = 2 in
+    let timing =
+      let* t_w_max = int_range 0 (Int.max 3 n) in
+      let* dmin = int_range 1 (if pair then 3 else 2) in
+      let* extra = int_range 0 (if pair then 2 else 1) in
+      let* slack = int_range 1 (if pair then 8 else 3) in
+      return (t_w_max, dmin, dmin + extra, t_w_max + dmin + extra + slack)
     in
-    let* a = one 0 "A" in
-    let* b = one 1 "B" in
-    return [| a; b |])
+    let* timings = list_repeat n timing in
+    let* twin = bool in
+    let timings = Array.of_list timings in
+    if twin then timings.(1) <- timings.(0);
+    return
+      (Array.mapi
+         (fun id (t_w_max, dmin, dmax, r) ->
+           Sched.Appspec.make ~id
+             ~name:(String.make 1 (Char.chr (Char.code 'A' + id)))
+             ~t_w_max
+             ~t_dw_min:(Array.make (t_w_max + 1) dmin)
+             ~t_dw_max:(Array.make (t_w_max + 1) dmax)
+             ~r)
+         timings))
 
+(* The zone engine is exact but its zone graph explodes on some safe
+   4-app groups: it must decide every group of up to three apps and
+   agree whenever it decides a 4-app group within its budget. *)
 let prop_engines_agree =
-  QCheck2.Test.make ~name:"discrete BFS = subsumption = TA zones" ~count:25
-    gen_pair_specs (fun g ->
-      let d mode =
-        is_safe_verdict (Core.Dverify.verify ~mode g).Core.Dverify.verdict
+  QCheck2.Test.make
+    ~name:"discrete BFS = subsumption = TA zones = quotient" ~count:40
+    gen_group_specs (fun g ->
+      let dv ?symmetry mode = Core.Dverify.verify ?symmetry ~mode g in
+      let safe (r : Core.Dverify.result) = is_safe_verdict r.Core.Dverify.verdict in
+      let waits (r : Core.Dverify.result) = r.Core.Dverify.stats.Core.Dverify.max_wait in
+      let bfs = dv `Bfs and sub = dv `Subsumption in
+      let qbfs = dv ~symmetry:true `Bfs and qsub = dv ~symmetry:true `Subsumption in
+      let verdict = safe bfs in
+      let zones =
+        let max_states = if Array.length g <= 3 then 400_000 else 50_000 in
+        match (Core.Ta_model.verify ~max_states g).Core.Ta_model.outcome with
+        | `Safe -> Some true
+        | `Unsafe -> Some false
+        | `Undetermined _ -> None
       in
-      let bfs = d `Bfs and sub = d `Subsumption in
-      let ta = Core.Ta_model.verify ~max_states:400_000 g in
-      bfs = sub && ta.Core.Ta_model.outcome = (if bfs then `Safe else `Unsafe))
+      List.for_all (fun r -> safe r = verdict) [ sub; qbfs; qsub ]
+      && ((not verdict) || (waits qbfs = waits bfs && waits qsub = waits sub))
+      &&
+      match zones with
+      | Some z -> z = verdict
+      | None -> Array.length g = 4)
 
 let prop_counterexample_replays =
   QCheck2.Test.make ~name:"every counterexample replays to an error" ~count:40
-    gen_pair_specs (fun g ->
+    gen_group_specs (fun g ->
       match (Core.Dverify.verify g).Core.Dverify.verdict with
       | Core.Dverify.Safe -> true
       | Core.Dverify.Undetermined _ -> false
@@ -758,6 +817,7 @@ let () =
           Alcotest.test_case "unsafe with counterexample" `Quick test_dverify_unsafe_pair_with_counterexample;
           Alcotest.test_case "modes agree" `Quick test_dverify_modes_agree;
           Alcotest.test_case "bounded consistent" `Quick test_dverify_bounded_consistent;
+          Alcotest.test_case "wide packed layout" `Quick test_dverify_wide_layout;
         ] );
       ( "ta_model",
         [

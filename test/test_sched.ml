@@ -371,6 +371,110 @@ let prop_single_owner =
       done;
       !ok)
 
+(* The packed codec over runs of random 2-4-app groups: on every state
+   [tick] reaches (either policy, with blackouts, raw and after the
+   bounded verifier's [force_steady] normalisation), decoding inverts
+   encoding, equal encodings are equal states with equal budgets, the
+   age split zeroes exactly the [Safe] ages, and when apps 0 and 1 are
+   twins the symmetry sort orders them like the polymorphic order on
+   (phase, budget, buffer position, ownership). *)
+let gen_codec_run =
+  QCheck2.Gen.(
+    let* n = int_range 2 4 in
+    let* specs = list_repeat n gen_small_spec in
+    let* twin = bool in
+    let* plans = list_repeat n gen_disturbance_plan in
+    let* blackouts = list_size (int_range 0 4) (int_range 0 40) in
+    let* instances = int_range 0 3 in
+    let* lazy_ = bool in
+    let specs = Array.of_list (List.mapi (fun i s -> Sched.Appspec.with_id s i) specs) in
+    if twin then specs.(1) <- Sched.Appspec.with_id specs.(0) 1;
+    return (specs, twin, Array.of_list plans, blackouts, instances, lazy_))
+
+let prop_packed_codec =
+  QCheck2.Test.make ~name:"packed codec round-trips every reachable state"
+    ~count:80 gen_codec_run
+    (fun (specs, twin, plans, blackouts, instances, lazy_) ->
+      let module S = Sched.Slot_state in
+      let module P = S.Packed in
+      let n = Array.length specs in
+      (* instances = 0 is the unbounded verifier: no budget field *)
+      let bounded = instances > 0 in
+      let layout = if bounded then P.layout ~instances specs else P.layout specs in
+      let budget = Array.make n instances in
+      let encode st =
+        if bounded then P.encode layout ~budget st else P.encode layout st
+      in
+      let bufpos st i =
+        let rec go k = function
+          | [] -> -1
+          | j :: rest -> if j = i then k else go (k + 1) rest
+        in
+        go 0 st.S.buffer
+      in
+      let seen = Hashtbl.create 64 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let check st =
+        let e = encode st in
+        let b = if bounded then Array.copy budget else Array.make n 0 in
+        expect (S.equal (P.decode layout e) st);
+        Array.iteri (fun i v -> expect (P.budget layout e i = v)) b;
+        (match Hashtbl.find_opt seen e with
+         | Some (st', b') -> expect (S.equal st st' && b = b')
+         | None -> Hashtbl.add seen e (st, b));
+        let masked, ages = P.split_ages layout e in
+        let m = P.decode layout masked in
+        let safe_ages = ref [] in
+        for i = n - 1 downto 0 do
+          match S.phase st i with
+          | S.Safe { age } ->
+            safe_ages := age :: !safe_ages;
+            expect (S.phase m i = S.Safe { age = 0 })
+          | p -> expect (S.phase m i = p)
+        done;
+        expect (Array.to_list ages = !safe_ages);
+        if twin then begin
+          let c = P.sort_apps layout [ [| 0; 1 |] ] e in
+          let d = P.decode layout c in
+          let descr i = (S.phase st i, b.(i), bufpos st i, st.S.owner = Some i) in
+          let lo, hi = if compare (descr 0) (descr 1) > 0 then (1, 0) else (0, 1) in
+          List.iter
+            (fun (slot, from) ->
+              expect (S.phase d slot = S.phase st from);
+              expect (P.budget layout c slot = b.(from));
+              expect (bufpos d slot = bufpos st from))
+            [ (0, lo); (1, hi) ];
+          for i = 2 to n - 1 do
+            expect (S.phase d i = S.phase st i)
+          done
+        end
+      in
+      let policy = if lazy_ then S.Lazy_preempt else S.Eager_preempt in
+      let st = ref (S.initial specs) in
+      check !st;
+      for k = 0 to 50 do
+        let disturbed =
+          List.filter
+            (fun id ->
+              ((not bounded) || budget.(id) > 0) && List.mem k plans.(id))
+            (S.disturbable specs !st)
+        in
+        List.iter (fun id -> budget.(id) <- budget.(id) - 1) disturbed;
+        let st', _ =
+          S.tick ~policy ~slot_available:(not (List.mem k blackouts)) specs !st
+            ~disturbed
+        in
+        check st';
+        if bounded then begin
+          let quiet = S.force_steady st' ~keep_quiet:(fun i -> budget.(i) > 0) in
+          check quiet;
+          st := quiet
+        end
+        else st := st'
+      done;
+      !ok)
+
 let prop_buffer_sorted_by_slack =
   QCheck2.Test.make ~name:"buffer is EDF-sorted at every tick" ~count:60
     QCheck2.Gen.(quad gen_small_spec gen_small_spec gen_disturbance_plan gen_disturbance_plan)
@@ -476,6 +580,7 @@ let props =
     [
       prop_min_dwell_respected;
       prop_single_owner;
+      prop_packed_codec;
       prop_buffer_sorted_by_slack;
       prop_lazy_never_better_waits;
       prop_error_is_absorbing;
