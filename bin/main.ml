@@ -92,16 +92,8 @@ let tables_cmd_run cache names =
 (* ------------------------------------------------------------------ *)
 (* verify *)
 
-(* --jobs: 0 (the cmdliner default) keeps whatever CPSDIM_JOBS or a
-   previous call established; a positive value resizes the shared pool
-   all parallel entry points draw from *)
-let apply_jobs jobs =
-  if jobs > 0 then Par.Pool.set_default_jobs jobs
-
 (* exit codes: 0 = safe, 2 = unsafe, 3 = undetermined (budget ran out) *)
-let verify_cmd_run engine order bound deadline jobs cache prefilter symmetry
-    names =
-  apply_jobs jobs;
+let verify_cmd_run engine order bound deadline cache prefilter symmetry names =
   with_pcache cache @@ fun pcache ->
   match parse_apps ?pcache names with
   | Error (`Msg m) -> prerr_endline m; 1
@@ -175,10 +167,8 @@ let verify_cmd_run engine order bound deadline jobs cache prefilter symmetry
 (* ------------------------------------------------------------------ *)
 (* map *)
 
-let map_cmd_run with_baseline optimal order jobs cache no_prefilter
-    no_symmetry =
+let map_cmd_run with_baseline optimal order cache no_prefilter no_symmetry =
   let prefilter = not no_prefilter and symmetry = not no_symmetry in
-  apply_jobs jobs;
   with_pcache cache @@ fun pcache ->
   let dcache = Option.map Core.Pcache.dwell_cache pcache in
   let apps =
@@ -339,8 +329,7 @@ let simulate_cmd_run names disturbances horizon stride csv faults seed monitor
    pure function of (spec, seed, runs, horizon) — no wall-clock
    quantities are printed — so two runs with the same arguments must be
    byte-identical. *)
-let stress_cmd_run names spec seed runs horizon jobs cache bus =
-  apply_jobs jobs;
+let stress_cmd_run names spec seed runs horizon cache bus =
   let names =
     if names = [] then [ "C1"; "C2"; "C3"; "C4"; "C5"; "C6" ] else names
   in
@@ -555,7 +544,7 @@ let cache_clear_run path =
    across all of them.  Exit code reports transport failures only — a
    failing request gets a structured error response, not an exit. *)
 let serve_cmd_run socket jobs cache =
-  apply_jobs jobs;
+  Par.Pool.set_default_jobs jobs;
   with_pcache cache @@ fun pcache ->
   Option.iter
     (fun pc ->
@@ -795,15 +784,6 @@ let deadline_arg =
           "Wall-clock budget for the search; when it runs out the verdict is \
            explicitly undetermined (exit code 3) instead of safe/unsafe.")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains for parallel verification/simulation (default: \
-           $(b,CPSDIM_JOBS) or 1).  Results are byte-identical at any \
-           $(docv).")
-
 (* opt-in on verify (screened stats would differ from the engine's, and
    the engine run is exactly what the command is for); opt-out on the
    mappers, where only the verdict matters and both shortcuts are
@@ -850,12 +830,11 @@ let verify_cmd =
     (with_obs "verify"
        Term.(
          const
-           (fun engine order bound deadline jobs cache prefilter symmetry names
-                () ->
-             verify_cmd_run engine order bound deadline jobs cache prefilter
+           (fun engine order bound deadline cache prefilter symmetry names () ->
+             verify_cmd_run engine order bound deadline cache prefilter
                symmetry names)
-         $ engine_arg $ order_arg $ bound_arg $ deadline_arg $ jobs_arg
-         $ cache_arg $ prefilter_arg $ symmetry_arg $ names_arg))
+         $ engine_arg $ order_arg $ bound_arg $ deadline_arg $ cache_arg
+         $ prefilter_arg $ symmetry_arg $ names_arg))
 
 let baseline_arg =
   Arg.(value & flag & info [ "b"; "baseline" ] ~doc:"Also run the DATE'12 baseline packing.")
@@ -867,11 +846,9 @@ let map_cmd =
   Cmd.v (Cmd.info "map" ~doc:"Slot mapping of the case study (first-fit or exact)")
     (with_obs "map"
        Term.(
-         const (fun baseline optimal order jobs cache no_prefilter no_symmetry
-                    () ->
-             map_cmd_run baseline optimal order jobs cache no_prefilter
-               no_symmetry)
-         $ baseline_arg $ optimal_arg $ order_arg $ jobs_arg $ cache_arg
+         const (fun baseline optimal order cache no_prefilter no_symmetry () ->
+             map_cmd_run baseline optimal order cache no_prefilter no_symmetry)
+         $ baseline_arg $ optimal_arg $ order_arg $ cache_arg
          $ no_prefilter_arg $ no_symmetry_arg))
 
 let disturbances_arg =
@@ -952,10 +929,10 @@ let stress_cmd =
           checked by the guarantee monitor")
     (with_obs "stress"
        Term.(
-         const (fun names spec seed runs horizon jobs cache bus () ->
-             stress_cmd_run names spec seed runs horizon jobs cache bus)
+         const (fun names spec seed runs horizon cache bus () ->
+             stress_cmd_run names spec seed runs horizon cache bus)
          $ names_arg $ stress_spec_arg $ sim_seed_arg $ runs_arg
-         $ stress_horizon_arg $ jobs_arg $ cache_arg $ bus_arg))
+         $ stress_horizon_arg $ cache_arg $ bus_arg))
 
 let name_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc:"Application name.")
@@ -1047,6 +1024,24 @@ let socket_arg =
           "Listen on a Unix domain socket at $(docv) (clients served one at \
            a time, caches staying warm across connections) instead of \
            answering stdin on stdout.")
+
+let jobs_arg =
+  let positive =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | Some _ | None ->
+            Error (Printf.sprintf "expected a positive integer, got %S" s)),
+        Format.pp_print_int )
+  in
+  Arg.(
+    value & opt positive 1
+    & info [ "jobs" ] ~docv:"N"
+        ~doc:
+          "Domains to spread a request's distinct slot groups across (one \
+           whole verification per task).  Responses are byte-identical at \
+           any $(docv).")
 
 let serve_cmd =
   Cmd.v

@@ -111,7 +111,7 @@ module Ids = Hashtbl.Make (struct
   let hash = List.fold_left (fun h i -> (h * 31) + i + 1) 0
 end)
 
-let explore_impl ~pool ~order ~policy ~subsume ~symmetry ~instances ~deadline
+let explore_impl ~order ~policy ~subsume ~symmetry ~instances ~deadline
     ~max_states specs =
   let n = Array.length specs in
   let max_wait = Array.make n (-1) in
@@ -120,38 +120,28 @@ let explore_impl ~pool ~order ~policy ~subsume ~symmetry ~instances ~deadline
   let budgets s =
     if bounded then Array.init n (Packed.budget codec s) else [||]
   in
-  (* the move lists, memoised per disturbable set.  [successors] may
-     run on pool domains, so the table is only touched under the lock;
-     two domains racing on one set compute equal lists and the first
-     to publish wins. *)
-  let memo = Ids.create 64 and memo_lock = Mutex.create () in
+  (* the move lists, memoised per disturbable set; each run owns its
+     memo, so runs on different domains share nothing *)
+  let memo = Ids.create 64 in
   let moves_of st budget =
     let available = Sched.Slot_state.disturbable specs st in
     let available =
       if bounded then List.filter (fun id -> budget.(id) > 0) available
       else available
     in
-    Mutex.lock memo_lock;
-    let known = Ids.find_opt memo available in
-    Mutex.unlock memo_lock;
-    match known with
+    match Ids.find_opt memo available with
     | Some moves -> moves
     | None ->
       let moves =
         Array.of_list (List.concat_map (arrival_orders specs) (subsets available))
       in
-      Mutex.protect memo_lock (fun () ->
-          match Ids.find_opt memo available with
-          | Some moves -> moves
-          | None ->
-            Ids.add memo available moves;
-            moves)
+      Ids.add memo available moves;
+      moves
   in
   (* A transition label is one int: the move's index in its state's
      move list, the single grant a tick can make (0 for none, else
      1 + id * wspan + wait) and, in bit 0, whether the tick produced an
-     error.  Carrying the grant on the edge keeps [successors] pure, so
-     the engine may run it on any domain. *)
+     error.  The engine's [on_edge] reads the grant off the label. *)
   let wspan =
     1 + Array.fold_left (fun m s -> Int.max m s.Sched.Appspec.t_w_max) 0 specs
   in
@@ -186,9 +176,7 @@ let explore_impl ~pool ~order ~policy ~subsume ~symmetry ~instances ~deadline
      applications, the per-application fields sorted by phase (real
      quiet age included), disturbance budget and position in the shared
      EDF buffer — the owner is the one running member.  Both dedup
-     channels call this once per generated successor, in the engine's
-     sequential merge order, which keeps the collapse counter
-     deterministic at any pool size. *)
+     channels call this once per generated successor. *)
   let canon =
     match symmetry with
     | None -> fun s -> s
@@ -267,7 +255,7 @@ let explore_impl ~pool ~order ~policy ~subsume ~symmetry ~instances ~deadline
            })
   in
   let r =
-    Space.run ~order ~pool ~exact:(not subsume) ?coverage ?max_states
+    Space.run ~order ~exact:(not subsume) ?coverage ?max_states
       ~max_states_check:`Pop ?deadline ~deadline_mask:1023
       ~target_check:`Generate
       ~on_edge:(fun label _ ->
@@ -323,7 +311,7 @@ let explore_impl ~pool ~order ~policy ~subsume ~symmetry ~instances ~deadline
       };
   }
 
-let explore ?pool ?(order = `Bfs) ~policy ~subsume ~symmetry ~instances
+let explore ?(order = `Bfs) ~policy ~subsume ~symmetry ~instances
     ?deadline ?max_states specs =
   (match deadline with
    | Some d when d <= 0. -> invalid_arg "Dverify: deadline must be positive"
@@ -331,7 +319,6 @@ let explore ?pool ?(order = `Bfs) ~policy ~subsume ~symmetry ~instances
   (match max_states with
    | Some n when n < 1 -> invalid_arg "Dverify: max_states must be positive"
    | _ -> ());
-  let pool = match pool with Some p -> p | None -> Par.Pool.default () in
   let order = match order with `Bfs -> Search.Bfs | `Dfs -> Search.Dfs in
   let part =
     if not symmetry then None
@@ -341,7 +328,7 @@ let explore ?pool ?(order = `Bfs) ~policy ~subsume ~symmetry ~instances
   in
   Obs.Span.with_ "dverify" (fun () ->
       let r =
-        explore_impl ~pool ~order ~policy ~subsume ~symmetry:part ~instances
+        explore_impl ~order ~policy ~subsume ~symmetry:part ~instances
           ~deadline ~max_states specs
       in
       match (part, r.verdict) with
@@ -354,7 +341,7 @@ let explore ?pool ?(order = `Bfs) ~policy ~subsume ~symmetry ~instances
            of the one the exact engine reports; re-run without the
            quotient so trace, stats and pretty-printed output stay
            byte-identical to the reference engine *)
-        explore_impl ~pool ~order ~policy ~subsume ~symmetry:None ~instances
+        explore_impl ~order ~policy ~subsume ~symmetry:None ~instances
           ~deadline ~max_states specs)
 
 let screen ~policy specs =
@@ -387,25 +374,25 @@ let screen ~policy specs =
           };
       }
 
-let verify ?pool ?order ?(policy = Sched.Slot_state.Eager_preempt)
+let verify ?order ?(policy = Sched.Slot_state.Eager_preempt)
     ?(mode = `Subsumption) ?(prefilter = false) ?(symmetry = false) ?deadline
     ?max_states specs =
   let exact () =
     match mode with
     | `Bfs ->
-      explore ?pool ?order ~policy ~subsume:false ~symmetry ~instances:None
+      explore ?order ~policy ~subsume:false ~symmetry ~instances:None
         ?deadline ?max_states specs
     | `Subsumption ->
-      explore ?pool ?order ~policy ~subsume:true ~symmetry ~instances:None
+      explore ?order ~policy ~subsume:true ~symmetry ~instances:None
         ?deadline ?max_states specs
   in
   if not prefilter then exact ()
   else match screen ~policy specs with Some r -> r | None -> exact ()
 
-let verify_bounded ?pool ?order ?(policy = Sched.Slot_state.Eager_preempt)
+let verify_bounded ?order ?(policy = Sched.Slot_state.Eager_preempt)
     ?(symmetry = false) ?deadline ?max_states ~instances specs =
   if instances < 1 then invalid_arg "Dverify.verify_bounded: instances < 1";
-  explore ?pool ?order ~policy ~subsume:true ~symmetry
+  explore ?order ~policy ~subsume:true ~symmetry
     ~instances:(Some instances) ?deadline ?max_states specs
 
 let pp_counterexample specs ppf (ce : counterexample) =

@@ -55,7 +55,6 @@ type stats = {
 type result = { verdict : verdict; stats : stats }
 
 val verify :
-  ?pool:Par.Pool.t ->
   ?order:[ `Bfs | `Dfs ] ->
   ?policy:Sched.Slot_state.policy ->
   ?mode:[ `Bfs | `Subsumption ] ->
@@ -73,19 +72,15 @@ val verify :
     when either runs out the verdict is {!Undetermined} — never a
     silent [Safe].
 
-    [pool] (default {!Par.Pool.default}) parallelises state expansion
-    across domains when sized above 1: the front of the BFS queue is
-    expanded in batches and merged back in pop order, so verdicts,
-    counterexamples, [stats] and the state-budget cut-off are
-    byte-identical to the sequential run at any pool size.  (Deadline
-    cut-offs remain wall-clock dependent at every size, including 1.)
+    A run shares no state with any other run, so verifications of
+    different groups may run on different domains at once (as
+    [serve]'s group shards do).  Deadline cut-offs are wall-clock
+    dependent; every other result is a pure function of the group.
 
     [order] (default [`Bfs]) picks the frontier order of the
     underlying {!Search} engine.  Depth-first explores the same
     reachable space and can never flip a Safe/Unsafe answer, but
-    counterexamples and state counts may differ, and only the FIFO
-    order is eligible for batched parallel expansion — [`Dfs] always
-    runs sequentially.
+    counterexamples and state counts may differ.
 
     [prefilter] (default false) consults the two-sided analytic screen
     ({!Sched.Prefilter.decide}) before exploring: an [Analytic_safe]
@@ -111,7 +106,6 @@ val verify :
     @raise Invalid_argument when [deadline <= 0] or [max_states < 1]. *)
 
 val verify_bounded :
-  ?pool:Par.Pool.t ->
   ?order:[ `Bfs | `Dfs ] ->
   ?policy:Sched.Slot_state.policy ->
   ?symmetry:bool ->

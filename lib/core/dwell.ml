@@ -183,7 +183,7 @@ let fingerprint ?threshold ?(stride = 1) (p : Control.Plant.t) (g : Control.Swit
       string_of_int j_star;
     ]
 
-let compute ?pool ?cache ?threshold ?(stride = 1) p g ~j_star =
+let compute ?cache ?threshold ?(stride = 1) p g ~j_star =
   if stride < 1 then invalid_arg "Dwell.compute: stride must be >= 1";
   if j_star < 1 then invalid_arg "Dwell.compute: j_star must be >= 1";
   let compute_impl () =
@@ -208,46 +208,14 @@ let compute ?pool ?cache ?threshold ?(stride = 1) p g ~j_star =
     infeasible "requirement J* = %d unattainable: J_T = %d" j_star jt;
   if je <= j_star then
     infeasible "requirement J* = %d trivially met on ET: J_E = %d" j_star je;
-  let pool = match pool with Some p -> p | None -> Par.Pool.default () in
-  let jobs = Par.Pool.jobs pool in
-  let entries =
-    if jobs <= 1 then begin
-      let rec collect t_w acc =
-        match analyse_wait_timed ?threshold p g ~j_star ~t_w with
-        | None -> List.rev acc
-        | Some entry -> collect (t_w + stride) ((t_w, entry) :: acc)
-      in
-      collect 0 []
-    end
-    else begin
-      (* Rows are independent simulations, so precompute them in
-         stride-stepped chunks and consume each chunk in wait order,
-         stopping at the first infeasible wait exactly like the
-         sequential scan — any rows speculated past it are discarded
-         and the resulting table is identical. *)
-      let chunk = 2 * jobs in
-      let rec collect t_w0 acc =
-        let waits = List.init chunk (fun i -> t_w0 + (i * stride)) in
-        let rows =
-          Par.Pool.map_list pool
-            (fun t_w -> analyse_wait_timed ?threshold p g ~j_star ~t_w)
-            waits
-        in
-        let rec consume waits rows acc =
-          match (waits, rows) with
-          | [], [] -> collect (t_w0 + (chunk * stride)) acc
-          | t_w :: ws, Some entry :: rs -> consume ws rs ((t_w, entry) :: acc)
-          | _ :: _, None :: _ -> List.rev acc
-          | _ -> assert false
-        in
-        consume waits rows acc
-      in
-      collect 0 []
-    end
+  let rec collect t_w acc =
+    match analyse_wait_timed ?threshold p g ~j_star ~t_w with
+    | None -> List.rev acc
+    | Some entry -> collect (t_w + stride) ((t_w, entry) :: acc)
   in
-  match entries with
+  match collect 0 [] with
   | [] -> infeasible "no feasible wait time at all"
-  | _ ->
+  | entries ->
     let t_w_max = fst (List.nth entries (List.length entries - 1)) in
     let len = (t_w_max / stride) + 1 in
     let t_dw_min = Array.make len 0

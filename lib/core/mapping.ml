@@ -85,7 +85,7 @@ let escalating ?stage_deadline ?max_states ?(instances = 2)
 (* Content-addressed verdict cache.  The key is a canonical (name-
    sorted) serialisation of the group's timing parameters, so the same
    subset probed again — by the other mapper, by an escalating retry,
-   or by a speculative parallel probe — reuses the verdict instead of
+   or by a later serve request — reuses the verdict instead of
    re-running reachability. *)
 
 type cache = verdict Par.Vcache.t
@@ -163,7 +163,7 @@ let probe ?cache ?(prefilter = false) ?(symmetry = true) specs =
   probe_metrics dt src;
   (v, src)
 
-let first_fit ?pool ?cache ?(order = `Bfs) ?verifier ?(prefilter = true)
+let first_fit ?cache ?(order = `Bfs) ?verifier ?(prefilter = true)
     ?(symmetry = true) ?(presorted = false) apps =
   (* the screen's soundness argument is tied to the default engine's
      semantics, so a caller-supplied verifier switches it off *)
@@ -176,15 +176,15 @@ let first_fit ?pool ?cache ?(order = `Bfs) ?verifier ?(prefilter = true)
     match verifier with Some v -> v | None -> ordered_verifier ~symmetry order
   in
   Obs.Span.with_ "mapping.first_fit" @@ fun () ->
-  let pool = match pool with Some p -> p | None -> Par.Pool.default () in
   let apps = if presorted then apps else sort_order apps in
   let count = ref 0 and undetermined = ref 0 in
-  (* account for one *logical* probe — a group the sequential scan
-     would have verified.  Cache hits count too: [verifications] stays
-     the number of safety questions asked, not engine runs performed,
-     so the reported outcome is identical at any jobs count and any
-     cache warmth. *)
-  let consume (v, dt, src) =
+  (* one safety question.  Cache hits count too: [verifications]
+     stays the number of questions asked, not engine runs performed,
+     so the reported outcome is identical at any cache warmth. *)
+  let fits group app =
+    let v, dt, src =
+      timed_probe ?cache ?screen verifier (specs_of_group (group @ [ app ]))
+    in
     incr count;
     Obs.Metric.count "mapping.groups_tried" 1;
     probe_metrics dt src;
@@ -197,37 +197,14 @@ let first_fit ?pool ?cache ?(order = `Bfs) ?verifier ?(prefilter = true)
       incr undetermined;
       false
   in
-  let probe group app =
-    timed_probe ?cache ?screen verifier (specs_of_group (group @ [ app ]))
-  in
   let place slots app =
-    match slots with
-    | _ :: _ :: _ when Par.Pool.jobs pool > 1 ->
-      (* probe every candidate group of this round concurrently, then
-         replay the first-fit scan over the collected verdicts in slot
-         order.  Accounting covers exactly the prefix a sequential run
-         would have probed; the extra speculative verdicts are
-         discarded (and, with a cache, kept for later rounds). *)
-      let results = Par.Pool.map_list pool (fun g -> probe g app) slots in
-      let rec scan groups results =
-        match (groups, results) with
-        | [], [] -> None
-        | group :: rest, r :: more ->
-          if consume r then Some ((group @ [ app ]) :: rest)
-          else Option.map (fun t -> group :: t) (scan rest more)
-        | _ -> assert false
-      in
-      (match scan slots results with
-       | Some slots -> slots
-       | None -> slots @ [ [ app ] ])
-    | _ ->
-      let rec go = function
-        | [] -> None
-        | group :: rest ->
-          if consume (probe group app) then Some ((group @ [ app ]) :: rest)
-          else Option.map (fun r -> group :: r) (go rest)
-      in
-      (match go slots with Some slots -> slots | None -> slots @ [ [ app ] ])
+    let rec go = function
+      | [] -> None
+      | group :: rest ->
+        if fits group app then Some ((group @ [ app ]) :: rest)
+        else Option.map (fun r -> group :: r) (go rest)
+    in
+    match go slots with Some slots -> slots | None -> slots @ [ [ app ] ]
   in
   let groups = List.fold_left place [] apps in
   {

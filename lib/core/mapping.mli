@@ -24,7 +24,7 @@ type outcome = {
   verifications : int;
       (** number of group-safety questions asked (a question answered
           from the verdict cache counts too, so the figure is identical
-          whatever the cache warmth or jobs count) *)
+          whatever the cache warmth) *)
   undetermined : int;
       (** verifier calls that could not decide (each conservatively
           treated as unsafe) *)
@@ -77,7 +77,6 @@ val escalating :
     stages give up the reason strings of both are reported. *)
 
 val first_fit :
-  ?pool:Par.Pool.t ->
   ?cache:cache ->
   ?order:[ `Bfs | `Dfs ] ->
   ?verifier:verifier ->
@@ -89,11 +88,7 @@ val first_fit :
 (** Run the mapping.  When [presorted] is false (default) the input is
     sorted with {!sort_order} first.
 
-    With [pool] (default {!Par.Pool.default}) sized above 1, every
-    candidate group of a placement round is probed concurrently and the
-    verdicts are consumed in slot order with the sequential first-fit
-    tie-break, so the packing, [verifications] and [undetermined] are
-    byte-identical to a sequential run.  [cache] memoises verdicts by
+    [cache] memoises verdicts by
     {!fingerprint}; pass the same cache to both mappers (or across
     calls) to skip repeated probes of the same subset.  [order]
     (default [`Bfs]) sets the frontier order of the default verifier

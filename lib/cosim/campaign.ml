@@ -57,19 +57,16 @@ type trial = {
   t_bus_overruns : int;
 }
 
-let run ?pool ?policy ?threshold ?bus ~spec ~seed ~runs ~horizon slots =
+let run ?policy ?threshold ?bus ~spec ~seed ~runs ~horizon slots =
   if runs < 1 then invalid_arg "Campaign.run: runs must be positive";
   if horizon < 1 then invalid_arg "Campaign.run: horizon must be positive";
-  let pool = match pool with Some p -> p | None -> Par.Pool.default () in
   let n_slots = List.length slots in
-  let slot_arr = Array.of_list slots in
   (* Each trial is a pure function of (seed, slot, run): it derives its
-     own streams from a task-local PRNG root, so trials can run on any
-     domain in any order.  The campaign summary folds them back in
-     (slot, run) order and is byte-identical at any jobs count. *)
-  let trial (s, k) =
+     own streams from a trial-local PRNG root, so no trial's draws
+     depend on another's.  The campaign summary folds them in
+     (slot, run) order. *)
+  let trial s k apps =
     let t0 = Obs.Clock.now () in
-    let apps = slot_arr.(s) in
     let names =
       Array.of_list
         (List.map (fun (a : Core.App.t) -> (a.Core.App.name, a.Core.App.r)) apps)
@@ -121,9 +118,6 @@ let run ?pool ?policy ?threshold ?bus ~spec ~seed ~runs ~horizon slots =
                  | None -> 0);
             })
     in
-    (* Emitted from whichever domain ran the trial; (slot, run, clean)
-       are pure functions of the seed, so the event multiset is
-       jobs-independent once timing fields are masked. *)
     Obs.Event.emit "campaign.trial"
       [
         ("slot", Obs.Event.Int s);
@@ -135,12 +129,6 @@ let run ?pool ?policy ?threshold ?bus ~spec ~seed ~runs ~horizon slots =
       ];
     result
   in
-  let pairs =
-    List.concat_map
-      (fun s -> List.init runs (fun k -> (s, k)))
-      (List.init n_slots (fun s -> s))
-  in
-  let results = Array.of_list (Par.Pool.map_list pool trial pairs) in
   let exception Materialize of string in
   try
     let slot_summaries =
@@ -166,9 +154,8 @@ let run ?pool ?policy ?threshold ?bus ~spec ~seed ~runs ~horizon slots =
               }
           in
           for k = 0 to runs - 1 do
-            (* first error in (slot, run) order wins, matching the
-               sequential raise *)
-            match results.((s * runs) + k) with
+            (* the first error in (slot, run) order wins *)
+            match trial s k apps with
             | Error e -> raise (Materialize e)
             | Ok t ->
               let a = !acc in

@@ -36,7 +36,6 @@ type summary = {
 }
 
 val run :
-  ?pool:Par.Pool.t ->
   ?policy:Sched.Slot_state.policy ->
   ?threshold:float ->
   ?bus:Bus.configured ->
@@ -55,11 +54,11 @@ val run :
     plan; broken transport facts count the run as not clean and the
     loss totals land in the [bus_*] fields.
 
-    With [pool] (default {!Par.Pool.default}) sized above 1, trials are
-    sharded across domains; each trial derives its streams from its own
-    [(seed, slot, run)]-indexed split, and results are merged back in
-    (slot, run) order — including error precedence — so the summary is
-    byte-identical at any jobs count. *)
+    Each trial derives its streams from its own
+    [(seed, slot, run)]-indexed split, so the summary is a pure
+    function of the arguments.  When several trials fail to
+    materialise, the error of the first in (slot, run) order is
+    reported. *)
 
 val pp : Format.formatter -> summary -> unit
 (** Deterministic: contains no wall-clock quantities. *)

@@ -56,7 +56,7 @@ let strip_suffix key =
   | Some suf -> (String.sub key 0 (String.length key - String.length suf), suf)
   | None -> (key, "")
 
-let classify key =
+let classify ?(measured = false) key =
   let base, suffix = strip_suffix key in
   let ends_with_s =
     String.length base >= 2
@@ -68,10 +68,15 @@ let classify key =
     || contains ~sub:"speedup" base
     || contains ~sub:"elapsed" base
   in
-  (* A timing histogram's sample count is exact bookkeeping, not a
+  (* A histogram's sample count is exact bookkeeping, not a
      measurement: "dwell.per_tw_s.n" must match across runs even
-     though "dwell.per_tw_s.p90" may not. *)
-  let cls = if timing_name && suffix <> ".n" then Timing else Deterministic in
+     though "dwell.per_tw_s.p90" may not — unless the histogram was
+     declared measured, because its samples count scheduling events. *)
+  let cls =
+    if suffix = ".n" then if measured then Timing else Deterministic
+    else if timing_name then Timing
+    else Deterministic
+  in
   let dir =
     if suffix = ".n" then Neutral
     else if contains ~sub:"per_sec" base || contains ~sub:"speedup" base then
@@ -94,14 +99,31 @@ let delta_pct ~old_v ~new_v =
   else if old_v = 0. then (if new_v > 0. then infinity else neg_infinity)
   else 100. *. (new_v -. old_v) /. Float.abs old_v
 
+(* the histograms either report declares measured *)
+let measured_histograms reports =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Report.t) ->
+      List.iter
+        (function
+          | Metric.Histogram (name, s) when s.Metric.measured ->
+            Hashtbl.replace tbl name ()
+          | Metric.Counter _ | Metric.Gauge _ | Metric.Histogram _ -> ())
+        r.Report.metrics)
+    reports;
+  tbl
+
 let compare_reports ~old_report ~new_report =
   let olds = flatten old_report and news = flatten new_report in
+  let measured = measured_histograms [ old_report; new_report ] in
   let new_tbl = Hashtbl.create 64 in
   List.iter (fun (k, v) -> Hashtbl.replace new_tbl k v) news;
   let old_tbl = Hashtbl.create 64 in
   List.iter (fun (k, v) -> Hashtbl.replace old_tbl k v) olds;
   let of_pair key old_v new_v =
-    let cls, dir = classify key in
+    let cls, dir =
+      classify ~measured:(Hashtbl.mem measured (fst (strip_suffix key))) key
+    in
     let delta_pct =
       match (old_v, new_v) with
       | Some o, Some n -> delta_pct ~old_v:o ~new_v:n

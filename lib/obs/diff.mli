@@ -11,7 +11,11 @@
       [Deterministic] (state counts, cache hit mixes, sample counts —
       anything that must reproduce across machines).  A timing
       histogram's [.n] is Deterministic: the sample {e count} is exact
-      bookkeeping even when the samples are measurements.
+      bookkeeping even when the samples are measurements — unless
+      either report declares the histogram measured
+      ({!Metric.histogram}), as the domain pool does for its
+      per-domain and idle histograms, whose counts follow the
+      scheduler.
     - {e direction} — whether growth is good ([per_sec], [speedup],
       [hit]), bad (durations, [dropped], [miss]) or neither.
 
@@ -37,7 +41,9 @@ type change = {
 val flatten : Report.t -> (string * float) list
 (** The comparable series of a report, in metric order. *)
 
-val classify : string -> metric_class * direction
+val classify : ?measured:bool -> string -> metric_class * direction
+(** [measured] (default [false]): the key belongs to a histogram
+    declared measured, so its [.n] classifies as [Timing]. *)
 
 val compare_reports :
   old_report:Report.t -> new_report:Report.t -> change list

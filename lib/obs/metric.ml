@@ -6,6 +6,7 @@ type gauge = { g_name : string; g : float option Atomic.t }
 
 type histogram = {
   h_name : string;
+  h_measured : bool;
   h_lock : Mutex.t;
   mutable values : float array;
   mutable len : int;
@@ -68,10 +69,17 @@ let set_max g v =
 
 let gauge_value g = Atomic.get g.g
 
-let histogram name =
+let histogram ?(measured = false) name =
   match
     find_or_create name (fun () ->
-        H { h_name = name; h_lock = Mutex.create (); values = [||]; len = 0 })
+        H
+          {
+            h_name = name;
+            h_measured = measured;
+            h_lock = Mutex.create ();
+            values = [||];
+            len = 0;
+          })
   with
   | H h -> h
   | C _ | G _ -> invalid_arg ("Metric.histogram: " ^ name ^ " is not a histogram")
@@ -107,7 +115,8 @@ let percentile h q = percentile_of_sorted (sorted_values h) q
 let count name n = if Trace_ctx.enabled () then add (counter name) n
 let set_gauge name v = if Trace_ctx.enabled () then set (gauge name) v
 let max_gauge name v = if Trace_ctx.enabled () then set_max (gauge name) v
-let observe_value name v = if Trace_ctx.enabled () then observe (histogram name) v
+let observe_value ?measured name v =
+  if Trace_ctx.enabled () then observe (histogram ?measured name) v
 
 type summary = {
   n : int;
@@ -117,6 +126,7 @@ type summary = {
   p50 : float;
   p90 : float;
   p99 : float;
+  measured : bool;
 }
 
 type entry =
@@ -124,7 +134,7 @@ type entry =
   | Gauge of string * float
   | Histogram of string * summary
 
-let summarise_sorted a =
+let summarise_sorted ~measured a =
   let n = Array.length a in
   let total = Array.fold_left ( +. ) 0. a in
   {
@@ -135,6 +145,7 @@ let summarise_sorted a =
     p50 = percentile_of_sorted a 0.5;
     p90 = percentile_of_sorted a 0.9;
     p99 = percentile_of_sorted a 0.99;
+    measured;
   }
 
 let snapshot () =
@@ -155,7 +166,8 @@ let snapshot () =
         | None -> acc)
       | H h ->
         let a = sorted_values h in
-        if Array.length a > 0 then Histogram (name, summarise_sorted a) :: acc
+        if Array.length a > 0 then
+          Histogram (name, summarise_sorted ~measured:h.h_measured a) :: acc
         else acc)
     [] metrics
   |> List.sort (fun a b ->

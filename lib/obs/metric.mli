@@ -35,7 +35,13 @@ val set_max : gauge -> float -> unit
 val gauge_value : gauge -> float option
 (** [None] until first set. *)
 
-val histogram : string -> histogram
+val histogram : ?measured:bool -> string -> histogram
+(** [measured] (default [false]) declares that the histogram's sample
+    count is itself a measurement — it counts scheduling or timing
+    events, such as a pool worker parking — rather than exact
+    bookkeeping of the work done.  The flag given when the histogram
+    is created stands; it travels in {!summary} so {!Diff} can tell the
+    two kinds apart. *)
 
 val observe : histogram -> float -> unit
 
@@ -49,7 +55,7 @@ val percentile : histogram -> float -> float
 val count : string -> int -> unit
 val set_gauge : string -> float -> unit
 val max_gauge : string -> float -> unit
-val observe_value : string -> float -> unit
+val observe_value : ?measured:bool -> string -> float -> unit
 
 type summary = {
   n : int;
@@ -59,6 +65,7 @@ type summary = {
   p50 : float;
   p90 : float;
   p99 : float;
+  measured : bool;  (** as declared by {!histogram} *)
 }
 
 type entry =

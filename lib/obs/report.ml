@@ -78,15 +78,17 @@ let to_json t =
             gs,
             ( name,
               Assoc
-                [
-                  ("n", Int s.Metric.n);
-                  ("min", Float s.Metric.min);
-                  ("max", Float s.Metric.max);
-                  ("mean", Float s.Metric.mean);
-                  ("p50", Float s.Metric.p50);
-                  ("p90", Float s.Metric.p90);
-                  ("p99", Float s.Metric.p99);
-                ] )
+                ([
+                   ("n", Int s.Metric.n);
+                   ("min", Float s.Metric.min);
+                   ("max", Float s.Metric.max);
+                   ("mean", Float s.Metric.mean);
+                   ("p50", Float s.Metric.p50);
+                   ("p90", Float s.Metric.p90);
+                   ("p99", Float s.Metric.p99);
+                 ]
+                @ if s.Metric.measured then [ ("measured", Bool true) ] else [])
+            )
             :: hs ))
       ([], [], []) t.metrics
   in
@@ -194,7 +196,12 @@ let of_json j =
           let* p50 = Result.bind (field "p50" v) as_float in
           let* p90 = Result.bind (field "p90" v) as_float in
           let* p99 = Result.bind (field "p99" v) as_float in
-          Ok (Metric.Histogram (name, { Metric.n; min; max; mean; p50; p90; p99 })))
+          let measured =
+            match field "measured" v with Ok (Bool b) -> b | _ -> false
+          in
+          Ok
+            (Metric.Histogram
+               (name, { Metric.n; min; max; mean; p50; p90; p99; measured })))
         histograms
     in
     let* spans = Result.bind (field "spans" j) as_list in

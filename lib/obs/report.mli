@@ -19,7 +19,10 @@
                    "gc_minor_w": 1.2e8, "gc_major_w": 3.4e6,
                    "gc_compact": 0 }, ... ] }
     v}
-    Span [start_s] is relative to the earliest span in the report.
+    A histogram declared measured ({!Metric.histogram}) also carries
+    ["measured": true]; the field is absent otherwise and defaults to
+    [false] on read.  Span [start_s] is relative to the earliest span
+    in the report.
     When the span ring or the event queue overflowed during the run,
     the counters [obs.spans_dropped] / [obs.events_dropped] appear in
     the report so truncation is visible. *)

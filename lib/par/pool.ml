@@ -7,8 +7,8 @@ type 'a future = { group : int; mutable cell : 'a state }
 
 (* Queue entries erase the result type: [e_run] computes the task and
    stores the outcome into its future under the pool lock.  A plain
-   list is fine as the queue — submissions arrive in chunk-sized
-   batches (tens of entries), never per-element over large inputs.
+   list is fine as the queue — a submission is one serve request's
+   distinct groups (tens of entries).
    [e_submitted] (monotonic) is stamped at enqueue so the executing
    domain can report how long the task sat in the queue. *)
 type entry = { e_group : int; e_submitted : float; e_run : unit -> unit }
@@ -23,8 +23,6 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-let jobs t = t.n_jobs
-
 let fresh_group = Atomic.make 0
 
 (* Stable small index per domain for metric names: 0 = the main
@@ -36,7 +34,11 @@ let worker_ix () = Domain.DLS.get worker_ix_key
 (* Execute one queue entry, publishing its lifecycle: queue-wait and
    run latency as pooled and per-domain histograms, plus one
    "pool.task" event.  Fully guarded — with both observability
-   switches off this is two atomic loads on top of [e_run]. *)
+   switches off this is two atomic loads on top of [e_run].  The pooled
+   histograms count tasks, one sample each; which domain runs a task,
+   and how often a worker parks, is up to the scheduler, so the
+   per-domain and idle histograms are declared measured: their sample
+   counts are not gated as deterministic. *)
 let run_entry e =
   if not (Obs.Trace_ctx.enabled () || Obs.Event.enabled ()) then e.e_run ()
   else begin
@@ -47,9 +49,13 @@ let run_entry e =
       ~finally:(fun () ->
         let run_s = Obs.Clock.now () -. start in
         Obs.Metric.observe_value "pool.queue_wait_s" wait_s;
-        Obs.Metric.observe_value (Printf.sprintf "pool.d%d.queue_wait_s" w) wait_s;
+        Obs.Metric.observe_value ~measured:true
+          (Printf.sprintf "pool.d%d.queue_wait_s" w)
+          wait_s;
         Obs.Metric.observe_value "pool.run_s" run_s;
-        Obs.Metric.observe_value (Printf.sprintf "pool.d%d.run_s" w) run_s;
+        Obs.Metric.observe_value ~measured:true
+          (Printf.sprintf "pool.d%d.run_s" w)
+          run_s;
         Obs.Event.emit "pool.task"
           [
             ("worker", Obs.Event.Int w);
@@ -78,8 +84,8 @@ let worker t =
         Condition.wait t.cv t.m;
         if Obs.Trace_ctx.enabled () then begin
           let idle_s = Obs.Clock.now () -. w0 in
-          Obs.Metric.observe_value "pool.idle_s" idle_s;
-          Obs.Metric.observe_value
+          Obs.Metric.observe_value ~measured:true "pool.idle_s" idle_s;
+          Obs.Metric.observe_value ~measured:true
             (Printf.sprintf "pool.d%d.idle_s" (worker_ix ()))
             idle_s
         end;
@@ -132,8 +138,6 @@ let submit_group t group f =
   Mutex.unlock t.m;
   fut
 
-let submit t f = submit_group t (Atomic.fetch_and_add fresh_group 1) f
-
 (* steal the oldest queued task of [group], if any (caller holds m) *)
 let pick_group t group =
   let rec pick acc = function
@@ -159,9 +163,9 @@ let await t fut =
       Printexc.raise_with_backtrace e bt
     | Pending -> (
       (* help: run a queued task of the same group rather than idling —
-         this is what makes nested map_* calls on one pool deadlock-free
-         (the awaited task is either queued here, and we run it
-         ourselves, or already running on some domain that will
+         this is what makes nested submissions on one pool
+         deadlock-free (the awaited task is either queued here, and we
+         run it ourselves, or already running on some domain that will
          broadcast on completion) *)
       match pick_group t fut.group with
       | Some entry ->
@@ -175,81 +179,22 @@ let await t fut =
   in
   wait ()
 
-(* Coarse-grained sharding: one future per thunk, all in a single
-   submission group so an [await] on any of them helps with the
-   others.  This is what the serve layer uses to spread independent
-   slot groups across the pool while each group's engine run may
-   itself call [map_array] on the same pool (nesting stays
-   deadlock-free through helping). *)
+(* Sharding: one future per thunk, all in a single submission group so
+   an [await] on any of them helps with the others.  This is what the
+   serve layer uses to spread independent slot groups across the
+   pool. *)
 let submit_list t thunks =
   let group = Atomic.fetch_and_add fresh_group 1 in
   List.map (fun f -> submit_group t group f) thunks
 
 let await_list t futures = List.map (fun fut -> await t fut) futures
 
-let map_array t f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else if t.n_jobs = 1 || n = 1 then Array.map f a
-  else begin
-    let size = (n + (t.n_jobs * 8) - 1) / (t.n_jobs * 8) in
-    let chunks = (n + size - 1) / size in
-    let group = Atomic.fetch_and_add fresh_group 1 in
-    let futures =
-      List.init chunks (fun c ->
-          let lo = c * size in
-          let hi = Int.min n (lo + size) in
-          Obs.Metric.observe_value "pool.batch_size" (float_of_int (hi - lo));
-          submit_group t group (fun () ->
-              (* explicit loop: evaluate strictly in index order so the
-                 exception surfaced for a failing chunk is the one of
-                 its smallest index, as a sequential run would raise *)
-              let out = Array.make (hi - lo) (f a.(lo)) in
-              for i = 1 to hi - lo - 1 do
-                out.(i) <- f a.(lo + i)
-              done;
-              out))
-    in
-    Array.concat (List.map (fun fut -> await t fut) futures)
-  end
-
-let map_list t f l = Array.to_list (map_array t f (Array.of_list l))
-
 (* ------------------------------------------------------------------ *)
 (* process default *)
 
 let default_m = Mutex.create ()
 let default_pool : t option ref = ref None
-let requested : int option ref = ref None
-
-(* A misconfigured CPSDIM_JOBS ("four", "0", "-2") used to be silently
-   coerced to 1, so a fleet that fat-fingered its provisioning quietly
-   ran sequential.  The coercion stands (a broken knob must not abort a
-   verification run) but it is announced once on stderr, naming the
-   rejected value. *)
-let env_jobs_warned = Atomic.make false
-
-let warn_env_jobs s =
-  if not (Atomic.exchange env_jobs_warned true) then
-    Printf.eprintf
-      "cpsdim: CPSDIM_JOBS=%S is not a positive integer; running with 1 job\n%!"
-      s
-
-let env_jobs () =
-  match Sys.getenv_opt "CPSDIM_JOBS" with
-  | None -> 1
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some j when j >= 1 -> j
-    | Some _ | None ->
-      warn_env_jobs s;
-      1)
-
-let default_jobs () =
-  Mutex.lock default_m;
-  let j = match !requested with Some j -> j | None -> env_jobs () in
-  Mutex.unlock default_m;
-  j
+let requested = ref 1
 
 let default () =
   Mutex.lock default_m;
@@ -258,8 +203,7 @@ let default () =
     Mutex.unlock default_m;
     p
   | None ->
-    let j = match !requested with Some j -> j | None -> env_jobs () in
-    let p = create ~jobs:j in
+    let p = create ~jobs:!requested in
     default_pool := Some p;
     Mutex.unlock default_m;
     p
@@ -267,7 +211,7 @@ let default () =
 let set_default_jobs j =
   if j < 1 then invalid_arg "Par.Pool.set_default_jobs: jobs must be >= 1";
   Mutex.lock default_m;
-  requested := Some j;
+  requested := j;
   match !default_pool with
   | Some p when p.n_jobs <> j ->
     default_pool := None;

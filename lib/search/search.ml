@@ -9,7 +9,7 @@ type stats = {
   cover_hits : int;
 }
 
-type 'state order = Bfs | Dfs | Priority of ('state -> int)
+type order = Bfs | Dfs
 
 module type STATE_SPACE = sig
   type state
@@ -101,65 +101,6 @@ let rec drop_covered covers abs = function
     let rest' = drop_covered covers abs rest in
     if covers abs e then rest' else if rest' == rest then l else e :: rest'
 
-(* Minimal binary min-heap over (score, seq): FIFO among equal scores,
-   so Priority degenerates to Bfs under a constant score. *)
-module Heap = struct
-  type t = {
-    mutable a : (int * int * int) array;  (* score, seq, payload *)
-    mutable n : int;
-  }
-
-  let create () = { a = Array.make 64 (0, 0, 0); n = 0 }
-  let lt (s1, q1, _) (s2, q2, _) = s1 < s2 || (s1 = s2 && q1 < q2)
-
-  let push t cell =
-    if t.n = Array.length t.a then begin
-      let bigger = Array.make (2 * t.n) cell in
-      Array.blit t.a 0 bigger 0 t.n;
-      t.a <- bigger
-    end;
-    t.a.(t.n) <- cell;
-    t.n <- t.n + 1;
-    let i = ref (t.n - 1) in
-    while
-      !i > 0
-      &&
-      let p = (!i - 1) / 2 in
-      lt t.a.(!i) t.a.(p)
-      && begin
-           let tmp = t.a.(p) in
-           t.a.(p) <- t.a.(!i);
-           t.a.(!i) <- tmp;
-           i := p;
-           true
-         end
-    do
-      ()
-    done
-
-  let pop t =
-    let top = t.a.(0) in
-    t.n <- t.n - 1;
-    t.a.(0) <- t.a.(t.n);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < t.n && lt t.a.(l) t.a.(!m) then m := l;
-      if r < t.n && lt t.a.(r) t.a.(!m) then m := r;
-      if !m = !i then continue := false
-      else begin
-        let tmp = t.a.(!m) in
-        t.a.(!m) <- t.a.(!i);
-        t.a.(!i) <- tmp;
-        i := !m
-      end
-    done;
-    let _, _, payload = top in
-    payload
-end
-
 module Make (S : STATE_SPACE) = struct
   type coverage =
     | Coverage : {
@@ -181,15 +122,7 @@ module Make (S : STATE_SPACE) = struct
     trace : (S.label * S.state) list;
   }
 
-  type frontier =
-    | Fifo of int ref
-        (* every stored state is pushed as it is stored (a stored
-           target ends the search), so the FIFO queue is exactly the ids
-           [next, nstored) *)
-    | Stack of int list ref
-    | H of Heap.t * (S.state -> int)
-
-  let run ?(order = Bfs) ?pool ?(exact = true) ?coverage ?max_states
+  let run ?(order = Bfs) ?(exact = true) ?coverage ?max_states
       ?(max_states_check = `Insert) ?deadline ?(deadline_mask = 255)
       ?(target_check = `Insert) ?on_edge ?on_insert ?(initial_peak = 0)
       ?metrics_prefix ?(heartbeat = 1024) initial =
@@ -277,53 +210,40 @@ module Make (S : STATE_SPACE) = struct
              end
       | None -> covered st
     in
-    let frontier =
+    (* the frontier holds ids.  Every state that survives dedup is
+       stored and pushed at once (a stored target or a spent state cap
+       ends the search), so the FIFO queue is exactly the ids
+       [next, nstored) and needs no structure of its own; the LIFO one
+       is a list with its depth alongside. *)
+    let next = ref 0 and stack = ref [] and stacked = ref 0 in
+    let push id =
       match order with
-      | Bfs -> Fifo (ref 0)
-      | Dfs -> Stack (ref [])
-      | Priority score -> H (Heap.create (), score)
+      | Bfs -> ()
+      | Dfs ->
+        stack := id :: !stack;
+        incr stacked
     in
-    let seq = ref 0 in
-    let fpush id st =
-      match frontier with
-      | Fifo _ -> ()
-      | Stack s -> s := id :: !s
-      | H (h, score) ->
-        incr seq;
-        Heap.push h (score st, !seq, id)
-    in
-    let fpop () =
-      match frontier with
-      | Fifo next ->
+    let pop () =
+      match (order, !stack) with
+      | Bfs, _ ->
         incr next;
         !next - 1
-      | Stack s -> (
-        match !s with
-        | id :: rest ->
-          s := rest;
-          id
-        | [] -> assert false)
-      | H (h, _) -> Heap.pop h
+      | Dfs, id :: rest ->
+        stack := rest;
+        decr stacked;
+        id
+      | Dfs, [] -> assert false
     in
-    let fempty () =
-      match frontier with
-      | Fifo next -> !next >= !nstored
-      | Stack s -> !s = []
-      | H (h, _) -> h.Heap.n = 0
+    let waiting () =
+      match order with Bfs -> !nstored - !next | Dfs -> !stacked
     in
-    (* [qlen] tracks the frontier depth a sequential run would see —
-       in the batched loop the batch's still-unmerged pops count as
-       popped, so waiting_peak agrees with jobs = 1 byte for byte *)
-    let qlen = ref 0 and waiting_peak = ref initial_peak in
+    let waiting_peak = ref initial_peak in
     let states = ref 1 and transitions = ref 0 in
     let found = ref (-1) in
     let exhausted = ref None in
     let pops = ref 0 in
     let engine = match metrics_prefix with Some p -> p | None -> "search" in
-    (* A heartbeat fires every [heartbeat] pops.  Its counter fields
-       replay the sequential pop sequence (see the determinism note in
-       the mli), so the event multiset is identical at any pool size
-       once the timing fields are masked. *)
+    (* a heartbeat fires every [heartbeat] pops *)
     let heartbeat_tick () =
       if !pops mod heartbeat = 0 && Obs.Event.enabled () then begin
         let dt = Obs.Clock.now () -. t0 in
@@ -332,7 +252,7 @@ module Make (S : STATE_SPACE) = struct
             ("engine", Obs.Event.Str engine);
             ("states", Obs.Event.Int !states);
             ("transitions", Obs.Event.Int !transitions);
-            ("frontier", Obs.Event.Int !qlen);
+            ("frontier", Obs.Event.Int (waiting ()));
             ("dedup_hits", Obs.Event.Int !dedup_hits);
             ("cover_hits", Obs.Event.Int !cover_hits);
             ( "states_per_sec",
@@ -380,9 +300,8 @@ module Make (S : STATE_SPACE) = struct
            exhausted := Some (Max_states cap);
            raise_notrace Exit
          | _ -> ());
-        fpush id succ;
-        incr qlen;
-        if !qlen > !waiting_peak then waiting_peak := !qlen
+        push id;
+        if waiting () > !waiting_peak then waiting_peak := waiting ()
       end
     in
     let rec expand parent_id = function
@@ -395,43 +314,16 @@ module Make (S : STATE_SPACE) = struct
     let id0 = add_state initial in
     ignore (seen initial);
     (match on_insert with Some f -> f initial | None -> ());
-    fpush id0 initial;
-    qlen := 1;
+    push id0;
     if target_check = `Insert && S.is_target None initial then found := id0;
-    let jobs = match pool with Some p -> Par.Pool.jobs p | None -> 1 in
-    let batched = match order with Bfs -> jobs > 1 | Dfs | Priority _ -> false in
     (try
-       if not batched then
-         while (not (fempty ())) && !found < 0 do
-           incr pops;
-           heartbeat_tick ();
-           if pop_budget () then raise_notrace Exit;
-           let id = fpop () in
-           decr qlen;
-           expand id (S.successors (state_of id))
-         done
-       else begin
-         let pool = Option.get pool in
-         let next =
-           match frontier with Fifo next -> next | Stack _ | H _ -> assert false
-         in
-         while !next < !nstored do
-           let k = Int.min (!nstored - !next) (jobs * 4) in
-           let batch = Array.init k (fun i -> !next + i) in
-           next := !next + k;
-           let expanded =
-             Par.Pool.map_array pool (fun id -> S.successors (state_of id)) batch
-           in
-           Array.iteri
-             (fun i succs ->
-               incr pops;
-               heartbeat_tick ();
-               if pop_budget () then raise_notrace Exit;
-               decr qlen;
-               expand batch.(i) succs)
-             expanded
-         done
-       end
+       while waiting () > 0 && !found < 0 do
+         incr pops;
+         heartbeat_tick ();
+         if pop_budget () then raise_notrace Exit;
+         let id = pop () in
+         expand id (S.successors (state_of id))
+       done
      with Exit -> ());
     let elapsed = Obs.Clock.now () -. t0 in
     (match metrics_prefix with

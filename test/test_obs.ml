@@ -481,6 +481,72 @@ let test_diff_classification () =
   check_bool "elapsed is timing" true
     (c "elapsed_s" = (Obs.Diff.Timing, Obs.Diff.Lower_better))
 
+(* Counts that follow the scheduler — how many tasks each pool domain
+   ran, how often a worker parked — are declared measured where the
+   pool records them, travel in the report, and are gated as timing;
+   every other histogram count stays a deterministic key. *)
+let test_diff_measured_histograms () =
+  fresh ();
+  Obs.Trace_ctx.enable ();
+  let pool = Par.Pool.create ~jobs:1 in
+  ignore (Par.Pool.await_list pool (Par.Pool.submit_list pool [ Fun.id ]));
+  Par.Pool.shutdown pool;
+  let declared =
+    List.filter_map
+      (function
+        | Obs.Metric.Histogram (name, s) -> Some (name, s.Obs.Metric.measured)
+        | Obs.Metric.Counter _ | Obs.Metric.Gauge _ -> None)
+      (Obs.Metric.snapshot ())
+  in
+  fresh ();
+  check_bool "per-domain run time declared measured" true
+    (List.assoc "pool.d0.run_s" declared);
+  check_bool "pooled run time counts tasks" false
+    (List.assoc "pool.run_s" declared);
+  let hist ?(measured = false) name n =
+    Obs.Metric.Histogram
+      ( name,
+        {
+          Obs.Metric.n;
+          min = 0.001;
+          max = 0.5;
+          mean = 0.1;
+          p50 = 0.05;
+          p90 = 0.2;
+          p99 = 0.4;
+          measured;
+        } )
+  in
+  (* through the JSONL form, as `report diff` reads the files *)
+  let report ~idle ~dwell =
+    match
+      Result.bind
+        (Obs.Report.json_of_string
+           (Obs.Report.json_to_string
+              (Obs.Report.to_json
+                 (mk_report
+                    [
+                      hist "dwell.per_tw_s" dwell;
+                      hist ~measured:true "pool.d1.idle_s" idle;
+                    ]))))
+        Obs.Report.of_json
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let failing old_r new_r =
+    List.map
+      (fun (c : Obs.Diff.change) -> c.Obs.Diff.key)
+      (Obs.Diff.regressions ~gate:3.
+         (Obs.Diff.compare_reports ~old_report:old_r ~new_report:new_r))
+  in
+  Alcotest.(check (list string))
+    "an idle count 30481 -> 8733 passes --gate 3" []
+    (failing (report ~idle:30481 ~dwell:26) (report ~idle:8733 ~dwell:26));
+  Alcotest.(check (list string))
+    "a dwell row count 26 -> 13 fails --gate 3" [ "dwell.per_tw_s.n" ]
+    (failing (report ~idle:30481 ~dwell:26) (report ~idle:30481 ~dwell:13))
+
 let () =
   Alcotest.run "obs"
     [
@@ -510,6 +576,8 @@ let () =
         [
           Alcotest.test_case "goldens" `Quick test_diff_goldens;
           Alcotest.test_case "classification" `Quick test_diff_classification;
+          Alcotest.test_case "measured histogram counts" `Quick
+            test_diff_measured_histograms;
         ] );
       ( "disabled",
         [ Alcotest.test_case "no-op everywhere" `Quick test_disabled_noop ] );

@@ -1,23 +1,28 @@
-(* Tests for the domain pool (lib/par) and for the determinism
-   guarantee of every parallel entry point: mapping packings, campaign
-   summaries, dwell tables and verification results must be
-   byte-identical at --jobs 1, 2 and 4 — including under fault plans
-   and budget (Undetermined) outcomes.  Also the regression test for
-   the Ta.Reach stats counters, which used to live in process-global
-   mutable state. *)
+(* Tests for the domain pool (lib/par) and for the guarantee the serve
+   layer's group shards rest on: a verification, mapping, dwell table
+   or campaign is a pure function of its inputs, so running it as a
+   task of a 1-, 2- or 4-domain pool, next to another copy of itself,
+   gives byte-identical results — including under fault plans and
+   budget (Undetermined) outcomes.  Also the regression test for the
+   Ta.Reach stats counters, which used to live in process-global
+   mutable state, and the same isolation check for Core.Dverify. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-(* run [f] once per pool size, shutting the pools down afterwards, and
-   return the results in jobs order *)
-let at_pool_sizes sizes f =
-  List.map
-    (fun jobs ->
-      let pool = Par.Pool.create ~jobs in
-      Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () -> f pool))
-    sizes
+(* [f ()] sequentially, then as two concurrent tasks of a fresh pool at
+   each size — the way serve shards a request's groups — every result
+   in that order *)
+let sharded_runs sizes f =
+  f ()
+  :: List.concat_map
+       (fun jobs ->
+         let pool = Par.Pool.create ~jobs in
+         Fun.protect
+           ~finally:(fun () -> Par.Pool.shutdown pool)
+           (fun () -> Par.Pool.await_list pool (Par.Pool.submit_list pool [ f; f ])))
+       sizes
 
 let all_equal = function
   | [] | [ _ ] -> true
@@ -26,30 +31,13 @@ let all_equal = function
 (* ------------------------------------------------------------------ *)
 (* Pool *)
 
-let test_pool_map_order () =
-  List.iter
-    (fun jobs ->
-      let pool = Par.Pool.create ~jobs in
-      let input = Array.init 97 Fun.id in
-      let out = Par.Pool.map_array pool (fun x -> (x * x) + 1) input in
-      Par.Pool.shutdown pool;
-      check_bool
-        (Printf.sprintf "map_array = Array.map at jobs=%d" jobs)
-        true
-        (out = Array.map (fun x -> (x * x) + 1) input))
-    [ 1; 2; 4 ]
-
-let test_pool_map_list_order () =
-  let pool = Par.Pool.create ~jobs:3 in
-  let out = Par.Pool.map_list pool string_of_int (List.init 41 Fun.id) in
-  Par.Pool.shutdown pool;
-  check_bool "map_list preserves order" true
-    (out = List.init 41 string_of_int)
-
 let test_pool_empty_and_singleton () =
   let pool = Par.Pool.create ~jobs:4 in
-  check_bool "empty array" true (Par.Pool.map_array pool Fun.id [||] = [||]);
-  check_bool "singleton" true (Par.Pool.map_array pool succ [| 7 |] = [| 8 |]);
+  check_bool "empty list" true
+    (Par.Pool.await_list pool (Par.Pool.submit_list pool []) = []);
+  check_bool "singleton" true
+    (Par.Pool.await_list pool (Par.Pool.submit_list pool [ (fun () -> 8) ])
+    = [ 8 ]);
   Par.Pool.shutdown pool
 
 let test_pool_exception_smallest_index () =
@@ -59,44 +47,49 @@ let test_pool_exception_smallest_index () =
       let raised =
         try
           ignore
-            (Par.Pool.map_array pool
-               (fun i -> if i >= 53 then failwith (string_of_int i) else i)
-               (Array.init 100 Fun.id));
+            (Par.Pool.await_list pool
+               (Par.Pool.submit_list pool
+                  (List.init 100 (fun i () ->
+                       if i >= 53 then failwith (string_of_int i) else i))));
           "no exception"
         with Failure m -> m
       in
       Par.Pool.shutdown pool;
       check_string
-        (Printf.sprintf "smallest failing index at jobs=%d" jobs)
+        (Printf.sprintf "first failing task in list order at jobs=%d" jobs)
         "53" raised)
     [ 1; 2; 4 ]
 
 let test_pool_nested_map () =
-  (* a task running on the pool may map on the same pool: helping makes
-     this deadlock-free *)
+  (* a task running on the pool may submit to the same pool and await
+     there: helping makes this deadlock-free *)
   let pool = Par.Pool.create ~jobs:2 in
   let out =
-    Par.Pool.map_list pool
-      (fun row ->
-        Par.Pool.map_list pool (fun col -> (row * 10) + col) [ 0; 1; 2 ])
-      [ 0; 1; 2; 3 ]
+    Par.Pool.await_list pool
+      (Par.Pool.submit_list pool
+         (List.init 4 (fun row () ->
+              Par.Pool.await_list pool
+                (Par.Pool.submit_list pool
+                   (List.init 3 (fun col () -> (row * 10) + col))))))
   in
   Par.Pool.shutdown pool;
-  check_bool "nested map on the same pool" true
+  check_bool "nested submission on the same pool" true
     (out
     = List.init 4 (fun row -> List.init 3 (fun col -> (row * 10) + col)))
 
 let test_pool_submit_await () =
   let pool = Par.Pool.create ~jobs:2 in
-  let fut = Par.Pool.submit pool (fun () -> 6 * 7) in
-  check_int "submit/await" 42 (Par.Pool.await pool fut);
+  (match Par.Pool.submit_list pool [ (fun () -> 6 * 7) ] with
+   | [ fut ] -> check_int "submit/await" 42 (Par.Pool.await pool fut)
+   | _ -> Alcotest.fail "one thunk, one future");
   Par.Pool.shutdown pool
 
 let test_pool_jobs_one_is_caller_only () =
   let pool = Par.Pool.create ~jobs:1 in
   let here = Domain.self () in
   let domains =
-    Par.Pool.map_list pool (fun _ -> Domain.self ()) [ 0; 1; 2; 3 ]
+    Par.Pool.await_list pool
+      (Par.Pool.submit_list pool (List.init 4 (fun _ () -> Domain.self ())))
   in
   Par.Pool.shutdown pool;
   check_bool "jobs=1 runs everything on the caller" true
@@ -111,7 +104,9 @@ let test_pool_rejects_bad_jobs () =
 
 let test_pool_shutdown_idempotent () =
   let pool = Par.Pool.create ~jobs:3 in
-  ignore (Par.Pool.map_list pool succ [ 1; 2; 3 ]);
+  ignore
+    (Par.Pool.await_list pool
+       (Par.Pool.submit_list pool (List.init 3 (fun i () -> i + 1))));
   Par.Pool.shutdown pool;
   Par.Pool.shutdown pool
 
@@ -126,69 +121,21 @@ let test_pool_submit_list () =
         (Printf.sprintf "submit_list/await_list order at jobs=%d" jobs)
         true
         (Par.Pool.await_list pool futs = List.init 9 (fun i -> i * i));
-      (* a sharded thunk may itself fan out on the same pool (the serve
-         layer's shape: across groups outside, within a group inside) *)
+      (* a sharded thunk may itself fan out on the same pool *)
       let nested =
         Par.Pool.submit_list pool
           (List.init 4 (fun row () ->
-               Par.Pool.map_list pool (fun col -> (row * 10) + col) [ 0; 1; 2 ]))
+               Par.Pool.await_list pool
+                 (Par.Pool.submit_list pool
+                    (List.init 3 (fun col () -> (row * 10) + col)))))
       in
       check_bool
-        (Printf.sprintf "nested map inside submit_list at jobs=%d" jobs)
+        (Printf.sprintf "nested submission inside submit_list at jobs=%d" jobs)
         true
         (Par.Pool.await_list pool nested
         = List.init 4 (fun row -> List.init 3 (fun col -> (row * 10) + col)));
       Par.Pool.shutdown pool)
     [ 1; 2; 4 ]
-
-(* run [f] with fd 2 teed into a temp file, returning (result, stderr) *)
-let capture_stderr f =
-  let file = Filename.temp_file "cpsdim-test" ".stderr" in
-  flush stderr;
-  let saved = Unix.dup Unix.stderr in
-  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  Unix.dup2 fd Unix.stderr;
-  Unix.close fd;
-  let r =
-    Fun.protect
-      ~finally:(fun () ->
-        flush stderr;
-        Unix.dup2 saved Unix.stderr;
-        Unix.close saved)
-      f
-  in
-  let captured = In_channel.with_open_bin file In_channel.input_all in
-  Sys.remove file;
-  (r, captured)
-
-let test_env_jobs_warns_once () =
-  (* the regression: "four" or "0" silently coerced to 1, so a
-     misconfigured fleet quietly ran sequential — now the coercion
-     stands but announces itself once, naming the rejected value *)
-  let saved = Sys.getenv_opt "CPSDIM_JOBS" in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "CPSDIM_JOBS" (Option.value saved ~default:"1"))
-    (fun () ->
-      Unix.putenv "CPSDIM_JOBS" "6";
-      let j, err = capture_stderr Par.Pool.env_jobs in
-      check_int "valid value honoured" 6 j;
-      check_string "no warning for a valid value" "" err;
-      Unix.putenv "CPSDIM_JOBS" "four";
-      let j, err = capture_stderr Par.Pool.env_jobs in
-      check_int "invalid value coerced to 1" 1 j;
-      check_bool "warning names the rejected value" true
-        (let sub = "CPSDIM_JOBS=\"four\"" in
-         let rec find i =
-           i + String.length sub <= String.length err
-           && (String.equal (String.sub err i (String.length sub)) sub
-              || find (i + 1))
-         in
-         find 0);
-      Unix.putenv "CPSDIM_JOBS" "0";
-      let j, err = capture_stderr Par.Pool.env_jobs in
-      check_int "zero coerced to 1" 1 j;
-      check_string "warning emitted only once per process" "" err)
 
 (* ------------------------------------------------------------------ *)
 (* Vcache *)
@@ -223,12 +170,12 @@ let test_vcache_shared_across_domains () =
   let c = Par.Vcache.create () in
   let pool = Par.Pool.create ~jobs:4 in
   let out =
-    Par.Pool.map_list pool
-      (fun i ->
-        Par.Vcache.find_or_add c
-          (string_of_int (i mod 3))
-          (fun () -> i mod 3))
-      (List.init 60 Fun.id)
+    Par.Pool.await_list pool
+      (Par.Pool.submit_list pool
+         (List.init 60 (fun i () ->
+              Par.Vcache.find_or_add c
+                (string_of_int (i mod 3))
+                (fun () -> i mod 3))))
   in
   Par.Pool.shutdown pool;
   check_bool "every lookup consistent" true
@@ -279,8 +226,8 @@ let dv_key (r : Core.Dverify.result) =
 let test_dverify_deterministic_safe () =
   let g = pair ~r:30 in
   let results =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
-        dv_key (Core.Dverify.verify ~pool ~mode:`Bfs g))
+    sharded_runs [ 1; 2; 4 ] (fun () ->
+        dv_key (Core.Dverify.verify ~mode:`Bfs g))
   in
   check_bool "safe group: identical verdict and stats" true
     (all_equal results)
@@ -289,8 +236,8 @@ let test_dverify_deterministic_unsafe () =
   (* tight r makes the pair unsafe; counterexamples must coincide *)
   let g = pair ~r:9 in
   let results =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
-        dv_key (Core.Dverify.verify ~pool ~mode:`Bfs g))
+    sharded_runs [ 1; 2; 4 ] (fun () ->
+        dv_key (Core.Dverify.verify ~mode:`Bfs g))
   in
   check_bool "unsafe group: identical counterexample and stats" true
     (all_equal results);
@@ -300,11 +247,11 @@ let test_dverify_deterministic_unsafe () =
 
 let test_dverify_deterministic_budget () =
   (* a state budget (never a wall-clock deadline: those are inherently
-     timing-dependent) must cut off at the same state at any jobs *)
+     timing-dependent) must cut off at the same state on any domain *)
   let g = pair ~r:30 in
   let results =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
-        dv_key (Core.Dverify.verify ~pool ~mode:`Bfs ~max_states:20 g))
+    sharded_runs [ 1; 2; 4 ] (fun () ->
+        dv_key (Core.Dverify.verify ~mode:`Bfs ~max_states:20 g))
   in
   check_bool "budget cut-off byte-identical" true (all_equal results);
   match results with
@@ -315,8 +262,8 @@ let test_dverify_deterministic_budget () =
 let test_dverify_bounded_deterministic () =
   let g = pair ~r:30 in
   let results =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
-        dv_key (Core.Dverify.verify_bounded ~pool ~instances:2 g))
+    sharded_runs [ 1; 2; 4 ] (fun () ->
+        dv_key (Core.Dverify.verify_bounded ~instances:2 g))
   in
   check_bool "bounded engine deterministic" true (all_equal results)
 
@@ -326,24 +273,26 @@ let test_dverify_bounded_deterministic () =
 let outcome_string o = Format.asprintf "%a" Core.Mapping.pp o
 
 let test_mapping_deterministic () =
+  let apps = Lazy.force apps in
   let packings =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
+    sharded_runs [ 1; 2; 4 ] (fun () ->
         let cache = Core.Mapping.create_cache () in
-        outcome_string (Core.Mapping.first_fit ~pool ~cache (Lazy.force apps)))
+        outcome_string (Core.Mapping.first_fit ~cache apps))
   in
   check_bool "first-fit packing byte-identical at jobs 1/2/4" true
     (all_equal packings)
 
 let test_mapping_deterministic_under_budget () =
   (* an escalating verifier whose stages exhaust their state budgets:
-     Undetermined outcomes must still merge deterministically *)
+     the Undetermined outcomes are counted, and deterministically *)
   let verifier = Core.Mapping.escalating ~max_states:40 () in
+  let apps = Lazy.force apps in
   let outcomes =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
+    sharded_runs [ 1; 2; 4 ] (fun () ->
         let o =
-          Core.Mapping.first_fit ~pool
+          Core.Mapping.first_fit
             ~cache:(Core.Mapping.create_cache ())
-            ~verifier (Lazy.force apps)
+            ~verifier apps
         in
         (outcome_string o, o.Core.Mapping.undetermined))
   in
@@ -357,12 +306,8 @@ let test_mapping_cache_shared_with_optimal () =
   (* analytic screen off: screened probes are answered ahead of the
      cache, so only unscreened runs make the sharing observable *)
   let cache = Core.Mapping.create_cache () in
-  let pool = Par.Pool.create ~jobs:2 in
-  let ff =
-    Core.Mapping.first_fit ~pool ~cache ~prefilter:false (Lazy.force apps)
-  in
+  let ff = Core.Mapping.first_fit ~cache ~prefilter:false (Lazy.force apps) in
   let opt = Core.Mapping.optimal ~cache ~prefilter:false (Lazy.force apps) in
-  Par.Pool.shutdown pool;
   let hits, misses = Core.Mapping.cache_stats cache in
   check_bool "optimal reused first-fit verdicts" true (hits > 0);
   check_bool "some probes were fresh" true (misses > 0);
@@ -383,8 +328,8 @@ let test_mapping_cache_does_not_change_counts () =
 
 let test_dwell_deterministic () =
   let tables =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
-        Core.Dwell.compute ~pool plant gains ~j_star:25)
+    sharded_runs [ 1; 2; 4 ] (fun () ->
+        Core.Dwell.compute plant gains ~j_star:25)
   in
   check_bool "dwell table byte-identical at jobs 1/2/4" true
     (all_equal tables)
@@ -394,14 +339,14 @@ let test_dwell_deterministic () =
 
 let slots = lazy [ [ app "A"; app ~r:130 "B" ]; [ app ~r:140 "C" ] ]
 
-let campaign ?groups ~spec_str pool =
+let campaign ?groups ~spec_str () =
   let spec =
     match Faults.Spec.parse spec_str with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let groups = Option.value groups ~default:(Lazy.force slots) in
-  Cosim.Campaign.run ~pool ~spec ~seed:42L ~runs:4 ~horizon:120 groups
+  let groups = match groups with Some g -> g | None -> Lazy.force slots in
+  fun () -> Cosim.Campaign.run ~spec ~seed:42L ~runs:4 ~horizon:120 groups
 
 let check_campaign_deterministic summaries =
   check_bool "campaign summary byte-identical at jobs 1/2/4" true
@@ -416,20 +361,20 @@ let test_campaign_deterministic () =
      materialises it separately), so the multi-slot case sticks to
      blackouts *)
   check_campaign_deterministic
-    (at_pool_sizes [ 1; 2; 4 ] (campaign ~spec_str:"blackout:p=0.05,len=3"))
+    (sharded_runs [ 1; 2; 4 ] (campaign ~spec_str:"blackout:p=0.05,len=3" ()))
 
 let test_campaign_deterministic_app_faults () =
   check_campaign_deterministic
-    (at_pool_sizes [ 1; 2; 4 ]
+    (sharded_runs [ 1; 2; 4 ]
        (campaign
           ~groups:[ [ app "A"; app ~r:130 "B" ] ]
-          ~spec_str:"loss:A@p=0.1;drop:B@p=0.05;burst:A@7"))
+          ~spec_str:"loss:A@p=0.1;drop:B@p=0.05;burst:A@7" ()))
 
 let test_campaign_error_deterministic () =
-  (* a spec naming an unknown app fails materialisation; the error and
-     its precedence must not depend on the pool size *)
+  (* a spec naming an unknown app fails materialisation in every slot
+     group; the error reported is the first one's, on any domain *)
   let errors =
-    at_pool_sizes [ 1; 2; 4 ] (campaign ~spec_str:"burst:NOSUCH@5")
+    sharded_runs [ 1; 2; 4 ] (campaign ~spec_str:"burst:NOSUCH@5" ())
   in
   check_bool "error byte-identical at jobs 1/2/4" true (all_equal errors);
   match errors with
@@ -438,8 +383,27 @@ let test_campaign_error_deterministic () =
   | [] -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Ta.Reach stats isolation (regression: the extrapolation counter was
-   a module-global ref, so concurrent runs corrupted each other) *)
+(* Run statistics are per run (regression: the zone engine's
+   extrapolation counter was a module-global ref, so concurrent runs
+   corrupted each other).  The discrete engine keeps its move memo,
+   tables and counters per run too, which is what lets serve run whole
+   searches on different domains at once. *)
+
+let case_group names =
+  Core.Mapping.specs_of_group
+    (List.map
+       (fun n ->
+         let a = Casestudy.find n in
+         Core.App.make ~name:a.Casestudy.name ~plant:a.Casestudy.plant
+           ~gains:a.Casestudy.gains ~r:a.Casestudy.r
+           ~j_star:a.Casestudy.j_star ())
+       names)
+
+let uniform names ~t_w_max ~dmin ~dmax ~r =
+  Array.of_list
+    (List.mapi
+       (fun id name -> spec ~name ~id ~t_w_max ~dmin ~dmax ~r ())
+       names)
 
 let test_reach_stats_domain_isolated () =
   let g = pair ~r:30 in
@@ -456,7 +420,45 @@ let test_reach_stats_domain_isolated () =
         r.Core.Ta_model.stats.Ta.Reach.extrapolations;
       check_bool "same outcome" true
         (r.Core.Ta_model.outcome = reference.Core.Ta_model.outcome))
-    [ ra; rb ]
+    [ ra; rb ];
+  (* the discrete engine: two domains each verify S2, the unsafe AB
+     pair and the identical-timing trio (quotiented), in opposite
+     orders, at the same time *)
+  let groups =
+    [
+      ("S2", case_group [ "C6"; "C2" ], false);
+      ("AB", uniform [ "A"; "B" ] ~t_w_max:1 ~dmin:3 ~dmax:4 ~r:20, false);
+      ("trio", uniform [ "A"; "B"; "C" ] ~t_w_max:8 ~dmin:3 ~dmax:4 ~r:13, true);
+    ]
+  in
+  let verify (_, specs, symmetry) = Core.Dverify.verify ~symmetry specs in
+  let text (_, specs, _) (r : Core.Dverify.result) =
+    match r.Core.Dverify.verdict with
+    | Core.Dverify.Unsafe ce ->
+      Format.asprintf "%a" (Core.Dverify.pp_counterexample specs) ce
+    | Core.Dverify.Safe | Core.Dverify.Undetermined _ ->
+      Format.asprintf "%a" (Core.Dverify.pp_verdict specs) r.Core.Dverify.verdict
+  in
+  let sequential = List.map verify groups in
+  let a = Domain.spawn (fun () -> List.map verify groups) in
+  let b = Domain.spawn (fun () -> List.rev_map verify (List.rev groups)) in
+  let ra = Domain.join a and rb = Domain.join b in
+  List.iter
+    (fun concurrent ->
+      List.iter2
+        (fun ((label, _, _) as group) (seq, r) ->
+          check_bool
+            (label ^ ": verdict, states, transitions and max_wait as sequential")
+            true
+            (dv_key r = dv_key seq);
+          check_string (label ^ ": verdict text as sequential") (text group seq)
+            (text group r))
+        groups
+        (List.combine sequential concurrent))
+    [ ra; rb ];
+  match sequential with
+  | [ _; { Core.Dverify.verdict = Core.Dverify.Unsafe _; _ }; _ ] -> ()
+  | _ -> Alcotest.fail "AB must be unsafe"
 
 (* ------------------------------------------------------------------ *)
 
@@ -465,8 +467,6 @@ let () =
     [
       ( "pool",
         [
-          Alcotest.test_case "map_array order" `Quick test_pool_map_order;
-          Alcotest.test_case "map_list order" `Quick test_pool_map_list_order;
           Alcotest.test_case "empty/singleton" `Quick
             test_pool_empty_and_singleton;
           Alcotest.test_case "smallest-index exception" `Quick
@@ -481,8 +481,6 @@ let () =
             test_pool_shutdown_idempotent;
           Alcotest.test_case "submit_list shards and nests" `Quick
             test_pool_submit_list;
-          Alcotest.test_case "invalid CPSDIM_JOBS warns once" `Quick
-            test_env_jobs_warns_once;
         ] );
       ( "vcache",
         [

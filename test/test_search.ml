@@ -1,7 +1,7 @@
 (* The unified search engine (lib/search), tested at two levels.
 
    Engine unit tests drive Search.Make over small synthetic graphs and
-   check the things the production clients rely on: the three frontier
+   check the things the production clients rely on: both frontier
    orders, both state-budget check points, the deadline budget, the
    `Generate/`Insert target regimes, antichain coverage pruning, and
    parent-table trace reconstruction.
@@ -14,7 +14,8 @@
    numbers captured from the pre-refactor explorers on the paper's
    case study.  Any drift here means the refactor changed observable
    semantics, which is exactly what it must never do; the same pins are
-   asserted under explicit 1/2/4-domain pools. *)
+   asserted for whole searches run as tasks of 1/2/4-domain pools, the
+   way the serve layer shards a request's groups. *)
 
 let pr_arr a =
   "[|" ^ String.concat ";" (Array.to_list (Array.map string_of_int a)) ^ "|]"
@@ -48,10 +49,9 @@ let insert_order ?order graph_fn initial =
   let r = Ints.run ?order ~on_insert:(fun s -> seen := s :: !seen) initial in
   (r, List.rev !seen)
 
-(* a three-level tree whose insertion order separates all three
-   frontier disciplines: 0 -> 12,21,33 (priority scores 2,1,3 under
-   [n mod 10]), each with one child recording when its parent was
-   popped *)
+(* a three-level tree whose insertion order separates the two
+   frontier disciplines: 0 -> 12,21,33, each with one child recording
+   when its parent was popped *)
 let tree = function
   | 0 -> [ ("a", 12); ("b", 21); ("c", 33) ]
   | 12 -> [ ("d", 112) ]
@@ -70,13 +70,6 @@ let test_order_dfs () =
   let _, order = insert_order ~order:Search.Dfs tree 0 in
   (* the stack pops the most recently pushed sibling first *)
   Alcotest.(check (list int)) "LIFO insert order" [ 0; 12; 21; 33; 133; 121; 112 ] order
-
-let test_order_priority () =
-  let _, order =
-    insert_order ~order:(Search.Priority (fun n -> n mod 10)) tree 0
-  in
-  (* scores: 21 -> 1, 12 -> 2, 33 -> 3 *)
-  Alcotest.(check (list int)) "smallest score first" [ 0; 12; 21; 33; 121; 112; 133 ] order
 
 let chain n = if n < 1_000 then [ ("s", n + 1) ] else []
 
@@ -217,9 +210,8 @@ let unsafe_pair =
      in
      [| spec ~name:"A" ~id:0; spec ~name:"B" ~id:1 |])
 
-let check_dv label ?pool ?order ?mode ?prefilter ?symmetry specs ~verdict
-    ~states ~transitions ~max_wait =
-  let r = Core.Dverify.verify ?pool ?order ?mode ?prefilter ?symmetry specs in
+let check_result label (r : Core.Dverify.result) ~verdict ~states
+    ~transitions ~max_wait =
   let v =
     match r.Core.Dverify.verdict with
     | Core.Dverify.Safe -> "Safe"
@@ -232,8 +224,22 @@ let check_dv label ?pool ?order ?mode ?prefilter ?symmetry specs ~verdict
   Alcotest.(check int) (label ^ " transitions") transitions
     r.Core.Dverify.stats.Core.Dverify.transitions;
   Alcotest.(check string) (label ^ " max_wait") max_wait
-    (pr_arr r.Core.Dverify.stats.Core.Dverify.max_wait);
+    (pr_arr r.Core.Dverify.stats.Core.Dverify.max_wait)
+
+let check_dv label ?order ?mode ?prefilter ?symmetry specs ~verdict ~states
+    ~transitions ~max_wait =
+  let r = Core.Dverify.verify ?order ?mode ?prefilter ?symmetry specs in
+  check_result label r ~verdict ~states ~transitions ~max_wait;
   r
+
+(* run [thunks] as one submission on a fresh pool of [jobs] domains —
+   the way the serve layer shards a request's groups — and return the
+   results in list order *)
+let sharded ~jobs thunks =
+  let pool = Par.Pool.create ~jobs in
+  Fun.protect
+    ~finally:(fun () -> Par.Pool.shutdown pool)
+    (fun () -> Par.Pool.await_list pool (Par.Pool.submit_list pool thunks))
 
 let test_pin_dverify () =
   ignore
@@ -363,22 +369,25 @@ let test_order_independence () =
       ("AB", Lazy.force unsafe_pair);
     ]
 
-(* the batched expansion must replay the sequential run exactly: same
-   verdict, same counts, same dwell table at every pool size *)
+(* whole searches as pool tasks, two at once: same verdict, same
+   counts, same dwell table at every pool size *)
 let test_jobs_determinism () =
+  let s2 = Lazy.force s2 and ab = Lazy.force unsafe_pair in
   List.iter
     (fun jobs ->
-      let pool = Par.Pool.create ~jobs in
-      ignore
-        (check_dv
-           (Printf.sprintf "S2 jobs=%d" jobs)
-           ~pool (Lazy.force s2) ~verdict:"Safe" ~states:10201
-           ~transitions:10609 ~max_wait:"[|6;7|]");
-      ignore
-        (check_dv
-           (Printf.sprintf "AB jobs=%d" jobs)
-           ~pool (Lazy.force unsafe_pair) ~verdict:"Unsafe" ~states:17
-           ~transitions:18 ~max_wait:"[|0;0|]"))
+      match
+        sharded ~jobs
+          [ (fun () -> Core.Dverify.verify s2); (fun () -> Core.Dverify.verify ab) ]
+      with
+      | [ rs2; rab ] ->
+        check_result
+          (Printf.sprintf "S2 jobs=%d" jobs)
+          rs2 ~verdict:"Safe" ~states:10201 ~transitions:10609
+          ~max_wait:"[|6;7|]";
+        check_result
+          (Printf.sprintf "AB jobs=%d" jobs)
+          rab ~verdict:"Unsafe" ~states:17 ~transitions:18 ~max_wait:"[|0;0|]"
+      | _ -> assert false)
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -435,24 +444,25 @@ let test_symmetry_safe_agrees () =
 let test_symmetry_unsafe_byte_identical () =
   (* the two AB applications are identical, so the quotient kicks in —
      and on Unsafe the transparent exact re-run must make it invisible
-     bit-for-bit, counterexample text included *)
+     bit-for-bit, counterexample text included, whichever pool domain
+     runs it *)
   let g = Lazy.force unsafe_pair in
   List.iter
     (fun jobs ->
-      let pool = Par.Pool.create ~jobs in
-      let r =
-        check_dv
-          (Printf.sprintf "AB quotient jobs=%d" jobs)
-          ~pool ~symmetry:true g ~verdict:"Unsafe" ~states:17 ~transitions:18
-          ~max_wait:"[|0;0|]"
-      in
-      match r.Core.Dverify.verdict with
-      | Core.Dverify.Unsafe ce ->
-        Alcotest.(check (list int)) "failing ids" [ 0 ] ce.Core.Dverify.failing;
-        Alcotest.(check string) "rendered counterexample" expected_ce_text
-          (String.trim
-             (Format.asprintf "%a" (Core.Dverify.pp_counterexample g) ce))
-      | _ -> Alcotest.fail "AB must stay unsafe under the quotient")
+      List.iter
+        (fun (r : Core.Dverify.result) ->
+          check_result
+            (Printf.sprintf "AB quotient jobs=%d" jobs)
+            r ~verdict:"Unsafe" ~states:17 ~transitions:18 ~max_wait:"[|0;0|]";
+          match r.Core.Dverify.verdict with
+          | Core.Dverify.Unsafe ce ->
+            Alcotest.(check (list int)) "failing ids" [ 0 ] ce.Core.Dverify.failing;
+            Alcotest.(check string) "rendered counterexample" expected_ce_text
+              (String.trim
+                 (Format.asprintf "%a" (Core.Dverify.pp_counterexample g) ce))
+          | _ -> Alcotest.fail "AB must stay unsafe under the quotient")
+        (sharded ~jobs
+           (List.init 2 (fun _ () -> Core.Dverify.verify ~symmetry:true g))))
     [ 1; 2; 4 ]
 
 let test_symmetry_heterogeneous_untouched () =
@@ -464,23 +474,17 @@ let test_symmetry_heterogeneous_untouched () =
 
 let test_symmetry_jobs_determinism () =
   let g = Lazy.force trio in
-  let runs =
-    List.map
-      (fun jobs ->
-        let pool = Par.Pool.create ~jobs in
-        dv_fingerprint (Core.Dverify.verify ~pool ~symmetry:true g))
-      [ 1; 2; 4 ]
-  in
-  match runs with
-  | a :: rest ->
-    List.iteri
-      (fun i b ->
-        Alcotest.(check string)
-          (Printf.sprintf "quotient run identical at jobs %d"
-             (List.nth [ 2; 4 ] i))
-          a b)
-      rest
-  | [] -> assert false
+  let reference = dv_fingerprint (Core.Dverify.verify ~symmetry:true g) in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun r ->
+          Alcotest.(check string)
+            (Printf.sprintf "quotient run identical at jobs %d" jobs)
+            reference (dv_fingerprint r))
+        (sharded ~jobs
+           (List.init 2 (fun _ () -> Core.Dverify.verify ~symmetry:true g))))
+    [ 1; 2; 4 ]
 
 let test_symmetry_orbit_metric () =
   Obs.Trace_ctx.enable ();
@@ -517,7 +521,6 @@ let () =
         [
           Alcotest.test_case "BFS order" `Quick test_order_bfs;
           Alcotest.test_case "DFS order" `Quick test_order_dfs;
-          Alcotest.test_case "priority order" `Quick test_order_priority;
           Alcotest.test_case "max_states at insert" `Quick test_budget_insert;
           Alcotest.test_case "max_states at pop" `Quick test_budget_pop;
           Alcotest.test_case "deadline" `Quick test_budget_deadline;
