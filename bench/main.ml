@@ -300,7 +300,7 @@ let verify_times () =
     r.Core.Dverify.stats.Core.Dverify.elapsed
   in
   let ta_describe label specs =
-    let r = Core.Ta_model.verify ~inclusion:false specs in
+    let r = Core.Ta_model.verify specs in
     Printf.printf "  %-28s %-6s %9d states %9s %8.2f s\n" label
       (match r.Core.Ta_model.outcome with
        | `Safe -> "safe"
@@ -313,10 +313,12 @@ let verify_times () =
     (fun (label, names, run_ta) ->
       Printf.printf "%s:\n" label;
       let specs = specs_of names in
-      let t_bfs = describe "discrete BFS (naive)" (fun () -> Core.Dverify.verify ~mode:`Bfs specs) in
+      let t_bfs =
+        describe "discrete BFS (naive)" (fun () -> Core.Dverify.reference specs)
+      in
       let t_sub =
-        describe "discrete + quiet-age subsum." (fun () ->
-            Core.Dverify.verify ~mode:`Subsumption specs)
+        describe "engine: DFS + subsumption" (fun () ->
+            Core.Dverify.verify specs)
       in
       let t_b1 =
         describe "bounded disturbances k=1" (fun () ->
@@ -327,7 +329,7 @@ let verify_times () =
              Core.Dverify.verify_bounded ~instances:2 specs));
       if run_ta then ta_describe "TA zone engine (mini-UPPAAL)" specs;
       Printf.printf
-        "  speedups vs naive BFS: subsumption %.1fx, bounded(k=1) %.1fx\n"
+        "  speedups vs naive BFS: engine %.1fx, bounded(k=1) %.1fx\n"
         (t_bfs /. Float.max 1e-9 t_sub)
         (t_bfs /. Float.max 1e-9 t_b1))
     [
@@ -599,11 +601,11 @@ let microbench () =
         Test.make ~name:"switching sim (60 samples)"
           (Staged.stage (fun () ->
                ignore (Core.Strategy.settling c1.Casestudy.plant c1.Casestudy.gains ~t_w:4 ~t_dw:4)));
-        Test.make ~name:"verify S2 (discrete subsum.)"
+        Test.make ~name:"verify S2 (discrete engine)"
           (Staged.stage (fun () -> ignore (Core.Dverify.verify s2)));
         Test.make ~name:"verify {C1,C5} (TA zones)"
           (Staged.stage (fun () ->
-               ignore (Core.Ta_model.verify ~inclusion:false pair)));
+               ignore (Core.Ta_model.verify pair)));
         Test.make ~name:"co-simulation Fig. 8"
           (Staged.stage (fun () -> ignore (Cosim.Engine.run fig8_scenario)));
         Test.make ~name:"DBM canonicalise (7 clocks)"
@@ -697,7 +699,7 @@ let obs_snapshot () =
           Obs.Metric.set_gauge "bench.dverify.states_per_sec"
             (float_of_int r.Core.Dverify.stats.Core.Dverify.states
             /. Float.max 1e-9 r.Core.Dverify.stats.Core.Dverify.elapsed);
-          let rt = Core.Ta_model.verify ~inclusion:false s2 in
+          let rt = Core.Ta_model.verify s2 in
           Obs.Metric.set_gauge "bench.ta.states_per_sec"
             (float_of_int rt.Core.Ta_model.stats.Ta.Reach.states
             /. Float.max 1e-9 rt.Core.Ta_model.stats.Ta.Reach.elapsed);
@@ -880,39 +882,37 @@ let par_snapshot () =
 (* Search-engine snapshot: throughput of the unified lib/search engine
    under its two production instantiations (zone-graph reachability and
    the discrete adversary), written to BENCH_search.json.  Also asserts
-   the order-independence contract: BFS and DFS must return the same
-   Safe/Unsafe verdict on every group even though their state counts
-   differ — a divergence means the frontier order leaked into the
-   answer, which fails the bench. *)
+   that the discrete engine, its breadth-first reference and the zone
+   engine return the same Safe/Unsafe verdict on every group even
+   though their state counts differ — a divergence fails the bench. *)
 
 let search_snapshot () =
-  section "X12" "Search-engine snapshot — BENCH_search.json (BFS/DFS, states/sec)";
+  section "X12" "Search-engine snapshot — BENCH_search.json (engine vs reference, states/sec)";
   let specs_of names = Core.Mapping.specs_of_group (List.map find_app names) in
   let s2 = specs_of [ "C6"; "C2" ] and pair = specs_of [ "C1"; "C5" ] in
-  (* order-independence: every engine, both orders, same verdict *)
-  let dv_verdict order specs =
-    match (Core.Dverify.verify ~order specs).Core.Dverify.verdict with
+  let dv_verdict (r : Core.Dverify.result) =
+    match r.Core.Dverify.verdict with
     | Core.Dverify.Safe -> "safe"
     | Core.Dverify.Unsafe _ -> "unsafe"
     | Core.Dverify.Undetermined _ -> "undec"
   in
-  let ta_verdict order specs =
-    match (Core.Ta_model.verify ~order ~inclusion:false specs).Core.Ta_model.outcome with
+  let ta_verdict specs =
+    match (Core.Ta_model.verify specs).Core.Ta_model.outcome with
     | `Safe -> "safe"
     | `Unsafe -> "unsafe"
     | `Undetermined _ -> "undec"
   in
   List.iter
     (fun (label, specs) ->
-      let db = dv_verdict `Bfs specs and dd = dv_verdict `Dfs specs in
-      let tb = ta_verdict `Bfs specs and td = ta_verdict `Dfs specs in
-      Printf.printf "  %-12s discrete bfs=%s dfs=%s | zones bfs=%s dfs=%s\n"
-        label db dd tb td;
-      if db <> dd || tb <> td then
+      let e = dv_verdict (Core.Dverify.verify specs)
+      and r = dv_verdict (Core.Dverify.reference specs)
+      and z = ta_verdict specs in
+      Printf.printf "  %-12s engine=%s reference=%s | zones=%s\n" label e r z;
+      if e <> r || r <> z then
         failwith
-          (Printf.sprintf "search snapshot: %s verdict depends on order" label))
+          (Printf.sprintf "search snapshot: %s verdicts disagree" label))
     [ ("S2={C6,C2}", s2); ("{C1,C5}", pair) ];
-  print_endline "  verdicts order-independent";
+  print_endline "  verdicts agree";
   Obs.Metric.reset ();
   Obs.Span.reset ();
   Obs.Trace_ctx.reset ();
@@ -931,26 +931,27 @@ let search_snapshot () =
       gauge "bench.search.dverify_s2"
         r.Core.Dverify.stats.Core.Dverify.states
         r.Core.Dverify.stats.Core.Dverify.elapsed;
-      let rt = Core.Ta_model.verify ~inclusion:false s2 in
+      let rt = Core.Ta_model.verify s2 in
       gauge "bench.search.reach_s2" rt.Core.Ta_model.stats.Ta.Reach.states
         rt.Core.Ta_model.stats.Ta.Reach.elapsed;
-      let rp = Core.Ta_model.verify ~inclusion:false pair in
+      let rp = Core.Ta_model.verify pair in
       gauge "bench.search.reach_c1c5" rp.Core.Ta_model.stats.Ta.Reach.states
         rp.Core.Ta_model.stats.Ta.Reach.elapsed;
       Obs.Metric.set_gauge "bench.search.order_independent" 1.;
       (* -------------------------------------------------------------- *)
-      (* X15 sub-section: the analytic pre-filter and the symmetry
-         quotient on a homogeneous fleet.  Both wins ride this snapshot
-         so the CI deterministic gate pins them: the quotient state
-         counts are exact anchors, the >= 5x ratios are the headline
-         numbers of the PR, and a regression in either fails the same
-         `report diff` leg as the engine throughput keys. *)
+      (* X15 sub-section: the engine against the breadth-first
+         reference, and the mappers' analytic screen, on a homogeneous
+         fleet.  Both wins ride this snapshot so the CI deterministic
+         gate pins them: the state counts are exact anchors, the >= 5x
+         state ratio is a floor, and a regression in either fails the
+         same `report diff` leg as the engine throughput keys. *)
       section "X15"
-        "Pre-filter + symmetry quotient — homogeneous-fleet wins \
-         (gated in BENCH_search.json)";
+        "Engine vs reference, and the mappers' screen — homogeneous-fleet \
+         wins (gated in BENCH_search.json)";
       (* four identical apps: deterministic dwell (2 samples), worst
          interference 3 x 2 = 6 = T*_w, so exactly Safe at the
-         boundary — the hardest shape for the quotient to preserve *)
+         boundary — the hardest shape for the engine's pruning and
+         quotient to preserve *)
       let homog =
         Array.init 4 (fun id ->
             Sched.Appspec.make ~id
@@ -958,8 +959,8 @@ let search_snapshot () =
               ~t_w_max:6 ~t_dw_min:(Array.make 7 2)
               ~t_dw_max:(Array.make 7 2) ~r:9)
       in
-      let exact = Core.Dverify.verify homog in
-      let quot = Core.Dverify.verify ~symmetry:true homog in
+      let exact = Core.Dverify.reference homog in
+      let quot = Core.Dverify.verify homog in
       let verdict_tag (r : Core.Dverify.result) =
         match r.Core.Dverify.verdict with
         | Core.Dverify.Safe -> "safe"
@@ -967,11 +968,11 @@ let search_snapshot () =
         | Core.Dverify.Undetermined _ -> "undec"
       in
       if verdict_tag exact <> verdict_tag quot then
-        failwith "x15: symmetry quotient changed the verdict";
+        failwith "x15: the engine's verdict differs from the reference";
       if
         exact.Core.Dverify.stats.Core.Dverify.max_wait
         <> quot.Core.Dverify.stats.Core.Dverify.max_wait
-      then failwith "x15: symmetry quotient changed the dwell table input";
+      then failwith "x15: the engine's max-wait table differs from the reference";
       gauge "bench.x15.homog4_exact" exact.Core.Dverify.stats.Core.Dverify.states
         exact.Core.Dverify.stats.Core.Dverify.elapsed;
       gauge "bench.x15.homog4_quotient"
@@ -986,12 +987,13 @@ let search_snapshot () =
         "bench.x15.state_ratio" state_ratio;
       if state_ratio < 5. then
         failwith
-          (Printf.sprintf "x15: quotient win %.1fx below the 5x floor"
+          (Printf.sprintf "x15: engine win %.1fx below the 5x floor"
              state_ratio);
       (* mapping screen: six clones of C1 (identical timing, so every
-         probed group is homogeneous) mapped with and without the
-         analytic screen.  Engine runs avoided = screened probes; the
-         packing and the verification count must not move. *)
+         probed group is homogeneous) mapped with the built-in,
+         screened verifier and with the bare engine passed in as the
+         verifier.  Engine runs avoided = screened probes; the packing
+         and the verification count must not move. *)
       let c1 = find_app "C1" in
       let clones =
         List.init 6 (fun i ->
@@ -1001,7 +1003,9 @@ let search_snapshot () =
       let before = Obs.Metric.value screened_counter in
       let on = Core.Mapping.first_fit clones in
       let screened = Obs.Metric.value screened_counter - before in
-      let off = Core.Mapping.first_fit ~prefilter:false ~symmetry:false clones in
+      let off =
+        Core.Mapping.first_fit ~verifier:Core.Mapping.default_verifier clones
+      in
       let render o = Format.asprintf "%a" Core.Mapping.pp o in
       if render on <> render off then
         failwith "x15: analytic screen changed the packing";
@@ -1184,8 +1188,10 @@ let bus_sweep () =
 let serve_snapshot () =
   section "X17"
     "Resident-service snapshot — BENCH_serve.json (cold/warm/incremental)";
-  (* the serve story shards independent groups across domains *)
-  Par.Pool.set_default_jobs 4;
+  (* the serve story shards independent groups across domains, at the
+     job count of the serve-churn benchmark: more domains than cores
+     would time oversubscription, not the service *)
+  Par.Pool.set_default_jobs 2;
   let open Serve_log in
   let requests = Lazy.force requests in
   let payload_of line =

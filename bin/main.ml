@@ -93,7 +93,7 @@ let tables_cmd_run cache names =
 (* verify *)
 
 (* exit codes: 0 = safe, 2 = unsafe, 3 = undetermined (budget ran out) *)
-let verify_cmd_run engine order bound deadline cache prefilter symmetry names =
+let verify_cmd_run engine bound deadline cache names =
   with_pcache cache @@ fun pcache ->
   match parse_apps ?pcache names with
   | Error (`Msg m) -> prerr_endline m; 1
@@ -107,20 +107,26 @@ let verify_cmd_run engine order bound deadline cache prefilter symmetry names =
        never recorded. *)
     let record v = Option.iter (fun pc -> Core.Pcache.record_verdict pc specs v) pcache in
     Obs.Span.with_ "model-check" @@ fun () ->
-    let discrete_exit (r : Core.Dverify.result) =
+    let exit_code (r : Core.Dverify.result) =
       match r.Core.Dverify.verdict with
       | Core.Dverify.Safe -> 0
-      | Core.Dverify.Unsafe ce ->
-        Format.printf "%a@." (Core.Dverify.pp_counterexample specs) ce;
-        2
+      | Core.Dverify.Unsafe _ -> 2
       | Core.Dverify.Undetermined _ -> 3
     in
+    (* the engine's depth-first witness is real but can run for hundreds
+       of samples; print the breadth-first reference's shortest one
+       instead, unless the budget cuts the reference short *)
+    let shortest ?instances (r : Core.Dverify.result) =
+      match r.Core.Dverify.verdict with
+      | Core.Dverify.Safe | Core.Dverify.Undetermined _ -> r
+      | Core.Dverify.Unsafe _ -> (
+        match Core.Dverify.reference ?instances ?deadline specs with
+        | { Core.Dverify.verdict = Core.Dverify.Unsafe _; _ } as ref_r -> ref_r
+        | _ -> r)
+    in
     (match engine with
-     | `Discrete | `Bfs ->
-       let mode = if engine = `Bfs then `Bfs else `Subsumption in
-       let r =
-         Core.Dverify.verify ~order ~mode ~prefilter ~symmetry ?deadline specs
-       in
+     | `Discrete ->
+       let r = shortest (Core.Dverify.verify ?deadline specs) in
        (match r.Core.Dverify.verdict with
         | Core.Dverify.Safe -> record `Safe
         | Core.Dverify.Unsafe _ -> record `Unsafe
@@ -130,11 +136,15 @@ let verify_cmd_run engine order bound deadline cache prefilter symmetry names =
          r.Core.Dverify.stats.Core.Dverify.states
          r.Core.Dverify.stats.Core.Dverify.transitions
          r.Core.Dverify.stats.Core.Dverify.elapsed;
-       discrete_exit r
+       (match r.Core.Dverify.verdict with
+        | Core.Dverify.Unsafe ce ->
+          Format.printf "%a@." (Core.Dverify.pp_counterexample specs) ce
+        | Core.Dverify.Safe | Core.Dverify.Undetermined _ -> ());
+       exit_code r
      | `Bounded ->
        let r =
-         Core.Dverify.verify_bounded ~order ~symmetry ?deadline
-           ~instances:bound specs
+         shortest ~instances:bound
+           (Core.Dverify.verify_bounded ?deadline ~instances:bound specs)
        in
        (match r.Core.Dverify.verdict with
         | Core.Dverify.Unsafe _ -> record `Unsafe
@@ -143,12 +153,9 @@ let verify_cmd_run engine order bound deadline cache prefilter symmetry names =
          (Core.Dverify.pp_verdict specs) r.Core.Dverify.verdict bound
          r.Core.Dverify.stats.Core.Dverify.states
          r.Core.Dverify.stats.Core.Dverify.elapsed;
-       (match r.Core.Dverify.verdict with
-        | Core.Dverify.Safe -> 0
-        | Core.Dverify.Unsafe _ -> 2
-        | Core.Dverify.Undetermined _ -> 3)
+       exit_code r
      | `Ta ->
-       let r = Core.Ta_model.verify ~order ~prefilter ?deadline specs in
+       let r = Core.Ta_model.verify ?deadline specs in
        (match r.Core.Ta_model.outcome with
         | `Undetermined reason ->
           Format.printf "undetermined: %a (%d symbolic states)@."
@@ -167,8 +174,7 @@ let verify_cmd_run engine order bound deadline cache prefilter symmetry names =
 (* ------------------------------------------------------------------ *)
 (* map *)
 
-let map_cmd_run with_baseline optimal order cache no_prefilter no_symmetry =
-  let prefilter = not no_prefilter and symmetry = not no_symmetry in
+let map_cmd_run with_baseline optimal cache =
   with_pcache cache @@ fun pcache ->
   let dcache = Option.map Core.Pcache.dwell_cache pcache in
   let apps =
@@ -179,8 +185,8 @@ let map_cmd_run with_baseline optimal order cache no_prefilter no_symmetry =
   in
   let cache = mapping_cache_of pcache in
   let outcome =
-    if optimal then Core.Mapping.optimal ~cache ~order ~prefilter ~symmetry apps
-    else Core.Mapping.first_fit ~cache ~order ~prefilter ~symmetry apps
+    if optimal then Core.Mapping.optimal ~cache apps
+    else Core.Mapping.first_fit ~cache apps
   in
   Format.printf "%a@." Core.Mapping.pp outcome;
   if with_baseline then begin
@@ -472,15 +478,11 @@ let design_cmd_run name j_star require_cqlf =
 (* ------------------------------------------------------------------ *)
 (* fleet *)
 
-let fleet_cmd_run count seed no_prefilter no_symmetry =
+let fleet_cmd_run count seed =
   let params = { Core.Fleet.default_params with count; seed } in
   let apps = Core.Fleet.generate ~params () in
   List.iter (fun a -> print_endline (Core.Fleet.describe a)) apps;
-  let outcome =
-    Core.Mapping.first_fit ~prefilter:(not no_prefilter)
-      ~symmetry:(not no_symmetry) apps
-  in
-  Format.printf "%a@." Core.Mapping.pp outcome;
+  Format.printf "%a@." Core.Mapping.pp (Core.Mapping.first_fit apps);
   0
 
 (* ------------------------------------------------------------------ *)
@@ -759,18 +761,8 @@ let tables_cmd =
 let engine_arg =
   Arg.(
     value
-    & opt (enum [ ("discrete", `Discrete); ("bfs", `Bfs); ("bounded", `Bounded); ("ta", `Ta) ]) `Discrete
-    & info [ "e"; "engine" ] ~doc:"Verification engine: discrete (subsumption), bfs, bounded, or ta (zone-based).")
-
-let order_arg =
-  Arg.(
-    value
-    & opt (enum [ ("bfs", `Bfs); ("dfs", `Dfs) ]) `Bfs
-    & info [ "order" ] ~docv:"ORDER"
-        ~doc:
-          "Frontier order for the state-space search: bfs (default) or dfs.  \
-           The Safe/Unsafe verdict is order-independent; state counts and \
-           counterexample witnesses may differ.")
+    & opt (enum [ ("discrete", `Discrete); ("bounded", `Bounded); ("ta", `Ta) ]) `Discrete
+    & info [ "e"; "engine" ] ~doc:"Verification engine: discrete (exact), bounded, or ta (zone-based).")
 
 let bound_arg =
   Arg.(value & opt int 2 & info [ "k"; "instances" ] ~doc:"Disturbance instances per app for -e bounded.")
@@ -784,57 +776,13 @@ let deadline_arg =
           "Wall-clock budget for the search; when it runs out the verdict is \
            explicitly undetermined (exit code 3) instead of safe/unsafe.")
 
-(* opt-in on verify (screened stats would differ from the engine's, and
-   the engine run is exactly what the command is for); opt-out on the
-   mappers, where only the verdict matters and both shortcuts are
-   verdict-preserving *)
-let prefilter_arg =
-  Arg.(
-    value & flag
-    & info [ "prefilter" ]
-        ~doc:
-          "Consult the two-sided analytic screen first; groups it decides \
-           skip the engine (states/transitions read 0 for them).  Verdicts \
-           are unchanged.")
-
-let symmetry_arg =
-  Arg.(
-    value & flag
-    & info [ "symmetry" ]
-        ~doc:
-          "Quotient the search space by permutations of identical-parameter \
-           applications.  Verdicts, max-wait tables and counterexamples are \
-           unchanged; Safe-side state counts shrink.")
-
-let no_prefilter_arg =
-  Arg.(
-    value & flag
-    & info [ "no-prefilter" ]
-        ~doc:
-          "Disable the analytic pre-screen and send every candidate group to \
-           the exact engine.  The packing and all reported counts are \
-           identical either way; this is an escape hatch for differential \
-           testing.")
-
-let no_symmetry_arg =
-  Arg.(
-    value & flag
-    & info [ "no-symmetry" ]
-        ~doc:
-          "Disable symmetry quotienting in the group verifier.  \
-           Verdict-preserving either way; escape hatch for differential \
-           testing.")
-
 let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc:"Model-check a slot group")
     (with_obs "verify"
        Term.(
-         const
-           (fun engine order bound deadline cache prefilter symmetry names () ->
-             verify_cmd_run engine order bound deadline cache prefilter
-               symmetry names)
-         $ engine_arg $ order_arg $ bound_arg $ deadline_arg $ cache_arg
-         $ prefilter_arg $ symmetry_arg $ names_arg))
+         const (fun engine bound deadline cache names () ->
+             verify_cmd_run engine bound deadline cache names)
+         $ engine_arg $ bound_arg $ deadline_arg $ cache_arg $ names_arg))
 
 let baseline_arg =
   Arg.(value & flag & info [ "b"; "baseline" ] ~doc:"Also run the DATE'12 baseline packing.")
@@ -846,10 +794,9 @@ let map_cmd =
   Cmd.v (Cmd.info "map" ~doc:"Slot mapping of the case study (first-fit or exact)")
     (with_obs "map"
        Term.(
-         const (fun baseline optimal order cache no_prefilter no_symmetry () ->
-             map_cmd_run baseline optimal order cache no_prefilter no_symmetry)
-         $ baseline_arg $ optimal_arg $ order_arg $ cache_arg
-         $ no_prefilter_arg $ no_symmetry_arg))
+         const (fun baseline optimal cache () ->
+             map_cmd_run baseline optimal cache)
+         $ baseline_arg $ optimal_arg $ cache_arg))
 
 let disturbances_arg =
   Arg.(value & opt_all string [] & info [ "d"; "disturb" ] ~docv:"SAMPLE:APP" ~doc:"Disturbance arrival, e.g. -d 0:C1.")
@@ -996,9 +943,8 @@ let fleet_cmd =
   Cmd.v (Cmd.info "fleet" ~doc:"Generate a synthetic fleet and map it to slots")
     (with_obs "fleet"
        Term.(
-         const (fun count seed no_prefilter no_symmetry () ->
-             fleet_cmd_run count seed no_prefilter no_symmetry)
-         $ count_arg $ seed_arg $ no_prefilter_arg $ no_symmetry_arg))
+         const (fun count seed () -> fleet_cmd_run count seed)
+         $ count_arg $ seed_arg))
 
 let out_arg =
   Arg.(value & opt (some string) None & info [ "o" ] ~docv:"PATH" ~doc:"Write PATH.xml and PATH.q instead of stdout.")

@@ -61,16 +61,19 @@ let arrival_orders (specs : Sched.Appspec.t array) subset =
     [ [] ] per_group
 
 (* ------------------------------------------------------------------ *)
-(* Generic explorer over packed states ({!Sched.Slot_state.Packed}): a
-   state is a slot state plus, in bounded mode, the per-application
-   remaining disturbance budgets, encoded as one string.  The engine
-   stores, deduplicates and subsumes encodings; a popped state is
-   decoded once and {!Sched.Slot_state.tick} runs on it for each move.
-   With [subsume] on, states are pruned by the quiet-age antichain: a
-   state whose [Safe] applications are all at least as old in some
-   explored state (with an otherwise identical configuration) admits a
-   subset of its behaviours and need not be expanded.  The pruning is
-   exact for error-reachability. *)
+(* Explorer over packed states ({!Sched.Slot_state.Packed}): a state is
+   a slot state plus, in bounded mode, the per-application remaining
+   disturbance budgets, encoded as one string.  The engine stores and
+   compares encodings; a popped state is decoded once and
+   {!Sched.Slot_state.tick} runs on it for each move.
+
+   Two searches share it.  The engine is depth-first and prunes by the
+   quiet-age antichain: a state whose [Safe] applications are all at
+   least as old in some explored state (with an otherwise identical
+   configuration) admits a subset of its behaviours and need not be
+   expanded.  The pruning is exact for error-reachability.  The
+   reference is breadth-first with exact dedup only, so its first
+   counterexample is a shortest one. *)
 
 (* Interchangeable applications: identical timing parameters mean the
    transition relation commutes with any permutation inside the orbit
@@ -87,7 +90,7 @@ let orbit_partition (specs : Sched.Appspec.t array) =
   in
   Search.Symmetry.partition ~n:(Array.length specs) ~same
 
-(* With quotienting on, a grant seen for one orbit member stands for the
+(* Under the quotient, a grant seen for one orbit member stands for the
    permuted grants of every member, so the exact per-application worst
    case is the orbit maximum (constant across the orbit by symmetry). *)
 let orbit_max_wait part max_wait =
@@ -111,9 +114,17 @@ module Ids = Hashtbl.Make (struct
   let hash = List.fold_left (fun h i -> (h * 31) + i + 1) 0
 end)
 
-let explore_impl ~order ~policy ~subsume ~symmetry ~instances ~deadline
-    ~max_states specs =
+let explore ~reference ~policy ~instances ~deadline ~max_states specs =
   let n = Array.length specs in
+  (* the orbit partition the engine canonicalises by; the reference
+     does not quotient, and a group with no two identical applications
+     has nothing to quotient *)
+  let quotient =
+    if reference then None
+    else
+      let p = orbit_partition specs in
+      if Search.Symmetry.nontrivial p then Some p else None
+  in
   let max_wait = Array.make n (-1) in
   let bounded = instances <> None in
   let codec = Packed.layout ?instances specs in
@@ -175,11 +186,11 @@ let explore_impl ~order ~policy ~subsume ~symmetry ~instances ~deadline
   (* the canonical relabelling: within each orbit of identical-parameter
      applications, the per-application fields sorted by phase (real
      quiet age included), disturbance budget and position in the shared
-     EDF buffer — the owner is the one running member.  Both dedup
-     channels call this once per generated successor. *)
+     EDF buffer — the owner is the one running member.  The antichain
+     calls it once per generated successor. *)
   let canon =
-    match symmetry with
-    | None -> fun s -> s
+    match quotient with
+    | None -> Fun.id
     | Some part ->
       let orbits =
         Array.to_list (Search.Symmetry.orbits part)
@@ -203,10 +214,8 @@ let explore_impl ~order ~policy ~subsume ~symmetry ~instances ~deadline
       let hash (k : t) = Hashtbl.hash k
     end
 
-    (* the exact table only dedups in [`Bfs] mode; under subsumption
-       the engine runs non-exact and the coverage split below carries
-       the quotient *)
-    let key = canon
+    (* only the reference dedups exactly, and it does not quotient *)
+    let key = Fun.id
 
     let successors s =
       let st = Packed.decode codec s in
@@ -232,7 +241,7 @@ let explore_impl ~order ~policy ~subsume ~symmetry ~instances ~deadline
       match label with Some l -> l land 1 = 1 | None -> false
   end) in
   let coverage =
-    if not subsume then None
+    if reference then None
     else
       Some
         (Space.Coverage
@@ -254,17 +263,19 @@ let explore_impl ~order ~policy ~subsume ~symmetry ~instances ~deadline
                  !ok);
            })
   in
+  let prefix = if reference then "dverify.reference" else "dverify" in
   let r =
-    Space.run ~order ~exact:(not subsume) ?coverage ?max_states
-      ~max_states_check:`Pop ?deadline ~deadline_mask:1023
-      ~target_check:`Generate
+    Space.run
+      ~order:(if reference then Search.Bfs else Search.Dfs)
+      ~exact:reference ?coverage ?max_states ~max_states_check:`Pop ?deadline
+      ~deadline_mask:1023 ~target_check:`Generate
       ~on_edge:(fun label _ ->
         let g = grant_of label in
         if g > 0 then begin
           let id = (g - 1) / wspan and wt = (g - 1) mod wspan in
           if wt > max_wait.(id) then max_wait.(id) <- wt
         end)
-      ~initial_peak:0 ~metrics_prefix:"dverify" initial
+      ~initial_peak:0 ~metrics_prefix:prefix initial
   in
   let s = r.Space.stats in
   let verdict =
@@ -294,12 +305,15 @@ let explore_impl ~order ~policy ~subsume ~symmetry ~instances ~deadline
     | Space.Exhausted (Search.Deadline d) -> Undetermined (Deadline d)
   in
   if Obs.Trace_ctx.enabled () then begin
-    Obs.Metric.count "dverify.prune_hits"
+    Obs.Metric.count (prefix ^ ".prune_hits")
       (s.Search.dedup_hits + s.Search.cover_hits);
     match verdict with
-    | Undetermined _ -> Obs.Metric.count "dverify.undetermined" 1
+    | Undetermined _ -> Obs.Metric.count (prefix ^ ".undetermined") 1
     | Safe | Unsafe _ -> ()
   end;
+  (match (quotient, verdict) with
+   | Some part, Safe -> orbit_max_wait part max_wait
+   | _ -> ());
   {
     verdict;
     stats =
@@ -311,89 +325,32 @@ let explore_impl ~order ~policy ~subsume ~symmetry ~instances ~deadline
       };
   }
 
-let explore ?(order = `Bfs) ~policy ~subsume ~symmetry ~instances
-    ?deadline ?max_states specs =
+let run ~reference ~policy ~instances ?deadline ?max_states specs =
   (match deadline with
    | Some d when d <= 0. -> invalid_arg "Dverify: deadline must be positive"
    | _ -> ());
   (match max_states with
    | Some n when n < 1 -> invalid_arg "Dverify: max_states must be positive"
    | _ -> ());
-  let order = match order with `Bfs -> Search.Bfs | `Dfs -> Search.Dfs in
-  let part =
-    if not symmetry then None
-    else
-      let p = orbit_partition specs in
-      if Search.Symmetry.nontrivial p then Some p else None
-  in
-  Obs.Span.with_ "dverify" (fun () ->
-      let r =
-        explore_impl ~order ~policy ~subsume ~symmetry:part ~instances
-          ~deadline ~max_states specs
-      in
-      match (part, r.verdict) with
-      | None, _ | Some _, Undetermined _ -> r
-      | Some p, Safe ->
-        orbit_max_wait p r.stats.max_wait;
-        r
-      | Some _, Unsafe _ ->
-        (* a quotient counterexample is real but may be a permuted twin
-           of the one the exact engine reports; re-run without the
-           quotient so trace, stats and pretty-printed output stay
-           byte-identical to the reference engine *)
-        explore_impl ~order ~policy ~subsume ~symmetry:None ~instances
-          ~deadline ~max_states specs)
+  (match instances with
+   | Some k when k < 1 -> invalid_arg "Dverify: instances < 1"
+   | _ -> ());
+  Obs.Span.with_
+    (if reference then "dverify.reference" else "dverify")
+    (fun () -> explore ~reference ~policy ~instances ~deadline ~max_states specs)
 
-let screen ~policy specs =
-  match Sched.Prefilter.decide ~policy specs with
-  | Sched.Prefilter.Inconclusive -> None
-  | Sched.Prefilter.Analytic_safe ->
-    Some
-      {
-        verdict = Safe;
-        stats =
-          {
-            states = 0;
-            transitions = 0;
-            elapsed = 0.;
-            max_wait = Array.make (Array.length specs) (-1);
-          };
-      }
-  | Sched.Prefilter.Analytic_unsafe w ->
-    Some
-      {
-        verdict =
-          Unsafe
-            { steps = w.Sched.Prefilter.steps; failing = w.Sched.Prefilter.failing };
-        stats =
-          {
-            states = 0;
-            transitions = 0;
-            elapsed = 0.;
-            max_wait = Array.make (Array.length specs) (-1);
-          };
-      }
+let verify ?(policy = Sched.Slot_state.Eager_preempt) ?deadline ?max_states
+    specs =
+  run ~reference:false ~policy ~instances:None ?deadline ?max_states specs
 
-let verify ?order ?(policy = Sched.Slot_state.Eager_preempt)
-    ?(mode = `Subsumption) ?(prefilter = false) ?(symmetry = false) ?deadline
+let verify_bounded ?(policy = Sched.Slot_state.Eager_preempt) ?deadline
+    ?max_states ~instances specs =
+  run ~reference:false ~policy ~instances:(Some instances) ?deadline
+    ?max_states specs
+
+let reference ?(policy = Sched.Slot_state.Eager_preempt) ?instances ?deadline
     ?max_states specs =
-  let exact () =
-    match mode with
-    | `Bfs ->
-      explore ?order ~policy ~subsume:false ~symmetry ~instances:None
-        ?deadline ?max_states specs
-    | `Subsumption ->
-      explore ?order ~policy ~subsume:true ~symmetry ~instances:None
-        ?deadline ?max_states specs
-  in
-  if not prefilter then exact ()
-  else match screen ~policy specs with Some r -> r | None -> exact ()
-
-let verify_bounded ?order ?(policy = Sched.Slot_state.Eager_preempt)
-    ?(symmetry = false) ?deadline ?max_states ~instances specs =
-  if instances < 1 then invalid_arg "Dverify.verify_bounded: instances < 1";
-  explore ?order ~policy ~subsume:true ~symmetry
-    ~instances:(Some instances) ?deadline ?max_states specs
+  run ~reference:true ~policy ~instances ?deadline ?max_states specs
 
 let pp_counterexample specs ppf (ce : counterexample) =
   Format.fprintf ppf "@[<v>";

@@ -16,20 +16,12 @@ let sort_order apps =
 let specs_of_group group =
   Array.of_list (List.mapi (fun i a -> App.spec a ~id:i) group)
 
-(* the default verifier parameterised by the engine's frontier order:
-   Safe/Unsafe is order-independent, so [`Dfs] only changes the shape
-   of the search, never the packing.  Symmetry quotienting is likewise
-   verdict-preserving, so enabling it can never change a packing. *)
-let ordered_verifier ?(symmetry = false) order specs : verdict =
-  match
-    (Dverify.verify ~order ~mode:`Subsumption ~symmetry specs).Dverify.verdict
-  with
+let default_verifier specs : verdict =
+  match (Dverify.verify specs).Dverify.verdict with
   | Dverify.Safe -> `Safe
   | Dverify.Unsafe _ -> `Unsafe
   | Dverify.Undetermined reason ->
     `Undetermined (Format.asprintf "%a" Dverify.pp_reason reason)
-
-let default_verifier specs = ordered_verifier `Bfs specs
 
 (* the analytic screen as a partial verdict: both sides are sound
    (Prefilter's accept implies engine-Safe, its witness implies
@@ -45,48 +37,18 @@ let analytic_screen specs : verdict option =
   | Sched.Prefilter.Analytic_unsafe _ -> Some `Unsafe
   | Sched.Prefilter.Inconclusive -> None
 
-(* graceful-degradation verifier: exact subsumption first; when its
-   budget runs out, retry with the paper's bounded-instance
-   acceleration.  A bounded counterexample is a real counterexample, so
-   bounded-Unsafe is definitive; bounded-Safe is only an
-   under-approximation and stays Undetermined unless the caller opts
-   into accepting it. *)
-let escalating ?stage_deadline ?max_states ?(instances = 2)
-    ?(accept_bounded = false) () specs : verdict =
-  match
-    (Dverify.verify ~mode:`Subsumption ?deadline:stage_deadline ?max_states
-       specs)
-      .Dverify.verdict
-  with
-  | Dverify.Safe -> `Safe
-  | Dverify.Unsafe _ -> `Unsafe
-  | Dverify.Undetermined exact_reason -> (
-    if Obs.Trace_ctx.enabled () then Obs.Metric.count "mapping.escalations" 1;
-    match
-      (Dverify.verify_bounded ?deadline:stage_deadline ?max_states ~instances
-         specs)
-        .Dverify.verdict
-    with
-    | Dverify.Unsafe _ -> `Unsafe
-    | Dverify.Safe when accept_bounded -> `Safe
-    | Dverify.Safe ->
-      `Undetermined
-        (Format.asprintf
-           "exact search gave up (%a); bounded search (%d instances) found no \
-            error but is an under-approximation"
-           Dverify.pp_reason exact_reason instances)
-    | Dverify.Undetermined bounded_reason ->
-      `Undetermined
-        (Format.asprintf "exact: %a; bounded (%d instances): %a"
-           Dverify.pp_reason exact_reason instances Dverify.pp_reason
-           bounded_reason))
+(* the mappers screen only ahead of the built-in verifier: the screen's
+   soundness argument is tied to the engine's semantics, so a
+   caller-supplied verifier runs unscreened *)
+let screened_verifier = function
+  | Some v -> (None, v)
+  | None -> (Some analytic_screen, default_verifier)
 
 (* ------------------------------------------------------------------ *)
 (* Content-addressed verdict cache.  The key is a canonical (name-
    sorted) serialisation of the group's timing parameters, so the same
-   subset probed again — by the other mapper, by an escalating retry,
-   or by a later serve request — reuses the verdict instead of
-   re-running reachability. *)
+   subset probed again — by the other mapper or by a later serve
+   request — reuses the verdict instead of re-running reachability. *)
 
 type cache = verdict Par.Vcache.t
 
@@ -152,29 +114,14 @@ let checked_verdict ?cache ?screen verifier specs =
 
 (* one cache-aware safety question with its provenance, for callers
    (the serve layer) that answer requests incrementally and must report
-   where each verdict came from.  Prefilter defaults OFF here — the
-   one-shot `verify` command runs the engine unscreened, and serve must
-   answer byte-identically to it. *)
-let probe ?cache ?(prefilter = false) ?(symmetry = true) specs =
-  let screen = if prefilter then Some analytic_screen else None in
-  let v, dt, src =
-    timed_probe ?cache ?screen (ordered_verifier ~symmetry `Bfs) specs
-  in
+   where each verdict came from: cache, then engine, never the screen *)
+let probe ?cache specs =
+  let v, dt, src = timed_probe ?cache default_verifier specs in
   probe_metrics dt src;
   (v, src)
 
-let first_fit ?cache ?(order = `Bfs) ?verifier ?(prefilter = true)
-    ?(symmetry = true) ?(presorted = false) apps =
-  (* the screen's soundness argument is tied to the default engine's
-     semantics, so a caller-supplied verifier switches it off *)
-  let screen =
-    match verifier with
-    | Some _ -> None
-    | None -> if prefilter then Some analytic_screen else None
-  in
-  let verifier =
-    match verifier with Some v -> v | None -> ordered_verifier ~symmetry order
-  in
+let first_fit ?cache ?verifier ?(presorted = false) apps =
+  let screen, verifier = screened_verifier verifier in
   Obs.Span.with_ "mapping.first_fit" @@ fun () ->
   let apps = if presorted then apps else sort_order apps in
   let count = ref 0 and undetermined = ref 0 in
@@ -229,16 +176,8 @@ let pp ppf t =
    calling the verifier.  The minimum partition into safe subsets is a
    DP over bitmasks. *)
 
-let optimal ?cache ?(order = `Bfs) ?verifier ?(prefilter = true)
-    ?(symmetry = true) apps =
-  let screen =
-    match verifier with
-    | Some _ -> None
-    | None -> if prefilter then Some analytic_screen else None
-  in
-  let verifier =
-    match verifier with Some v -> v | None -> ordered_verifier ~symmetry order
-  in
+let optimal ?cache ?verifier apps =
+  let screen, verifier = screened_verifier verifier in
   Obs.Span.with_ "mapping.optimal" @@ fun () ->
   let apps = Array.of_list apps in
   let n = Array.length apps in

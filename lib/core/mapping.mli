@@ -57,55 +57,31 @@ val sort_order : App.t list -> App.t list
     then name for determinism. *)
 
 val default_verifier : verifier
-(** {!Dverify.verify} with subsumption, unbudgeted. *)
-
-val escalating :
-  ?stage_deadline:float ->
-  ?max_states:int ->
-  ?instances:int ->
-  ?accept_bounded:bool ->
-  unit ->
-  verifier
-(** Budgeted verifier with graceful fallback.  Stage 1 runs the exact
-    subsumption engine under [stage_deadline] (wall-clock seconds per
-    stage) and [max_states]; if it gives up, stage 2 retries with the
-    bounded-instance acceleration ([instances], default 2) under the
-    same per-stage budgets.  A bounded counterexample is a real one, so
-    bounded-[Unsafe] is definitive; bounded-[Safe] is an
-    under-approximation and is reported [`Undetermined] unless
-    [accept_bounded] (default false) opts into trusting it.  When both
-    stages give up the reason strings of both are reported. *)
+(** {!Dverify.verify}, unbudgeted and unscreened.  Passing it as
+    [~verifier] to a mapper gives the engine-only run the differential
+    tests compare against. *)
 
 val first_fit :
   ?cache:cache ->
-  ?order:[ `Bfs | `Dfs ] ->
   ?verifier:verifier ->
-  ?prefilter:bool ->
-  ?symmetry:bool ->
   ?presorted:bool ->
   App.t list ->
   outcome
 (** Run the mapping.  When [presorted] is false (default) the input is
     sorted with {!sort_order} first.
 
-    [cache] memoises verdicts by
-    {!fingerprint}; pass the same cache to both mappers (or across
-    calls) to skip repeated probes of the same subset.  [order]
-    (default [`Bfs]) sets the frontier order of the default verifier
-    (ignored when [verifier] is supplied); packings are
-    order-independent because Safe/Unsafe is.
+    [cache] memoises verdicts by {!fingerprint}; pass the same cache to
+    both mappers (or across calls) to skip repeated probes of the same
+    subset.
 
-    [prefilter] (default true) screens every candidate group through
-    {!Sched.Prefilter.decide} ahead of the cache and the engine; a
-    screened group still counts as one verification, so packings and
-    all reported counts are byte-identical with the screen on or off —
-    only the exact-engine runs are saved ([mapping.screened] counts
-    them).  [symmetry] (default true) lets the default verifier
-    quotient the search space by permutations of identical-parameter
-    applications — verdict-preserving, hence packing-preserving.  Both
-    switches apply to the built-in verifier only: a caller-supplied
-    [verifier] may implement different semantics, for which the
-    screen's soundness argument does not hold, so it runs unscreened. *)
+    Without [verifier], every candidate group is screened through
+    {!Sched.Prefilter.decide} ahead of the cache and
+    {!default_verifier}; a screened group still counts as one
+    verification, so packings and all reported counts are the same as
+    an unscreened run — only engine runs are saved ([mapping.screened]
+    counts them).  A caller-supplied [verifier] may implement different
+    semantics, for which the screen's soundness argument does not hold,
+    so it runs unscreened. *)
 
 val specs_of_group : App.t list -> Sched.Appspec.t array
 (** Dense scheduler specs for a candidate group (ids assigned in list
@@ -113,27 +89,19 @@ val specs_of_group : App.t list -> Sched.Appspec.t array
 
 val probe :
   ?cache:cache ->
-  ?prefilter:bool ->
-  ?symmetry:bool ->
   Sched.Appspec.t array ->
   verdict * [ `Screen | `Mem | `Disk | `Miss ]
 (** One cache-aware group-safety question with the provenance of its
-    answer: [`Screen] (analytic pre-filter, only with
-    [prefilter:true]), [`Mem]/[`Disk] (cache level that answered), or
-    [`Miss] (the engine ran).  Uses the default subsumption engine
-    ([`Bfs]; [symmetry] defaults to [true] — verdict-preserving), so
-    the verdict matches {!default_verifier} byte-for-byte.
-    [prefilter] defaults to [false], matching the one-shot [verify]
-    command. *)
+    answer: [`Mem]/[`Disk] (cache level that answered) or [`Miss]
+    ({!default_verifier} ran).  Unscreened, so the answer is never
+    [`Screen]; the type keeps that case for callers that report
+    provenance alongside the mappers' screen. *)
 
 val pp : Format.formatter -> outcome -> unit
 
 val optimal :
   ?cache:cache ->
-  ?order:[ `Bfs | `Dfs ] ->
   ?verifier:verifier ->
-  ?prefilter:bool ->
-  ?symmetry:bool ->
   App.t list ->
   outcome
 (** Exact minimum-slot partition (in contrast to the paper's first-fit
@@ -145,8 +113,8 @@ val optimal :
     bitmasks.  Exponential in the number of applications (fine for the
     slot-sized instances this problem deals in; guarded at 16 apps).
     [verifications] counts the verifier calls actually performed after
-    pruning.  [prefilter] and [symmetry] (both default true) behave as
-    in {!first_fit}: screened subsets keep their place in the monotone
-    lattice and in [verifications], so the partition and every count
-    are unchanged — only engine runs are saved.
+    pruning.  The screen applies as in {!first_fit}: screened subsets
+    keep their place in the monotone lattice and in [verifications],
+    so the partition and every count are unchanged — only engine runs
+    are saved.
     @raise Invalid_argument beyond 16 applications. *)

@@ -314,42 +314,15 @@ type result = {
   stats : Ta.Reach.stats;
 }
 
-let zero_stats =
-  {
-    Ta.Reach.states = 0;
-    transitions = 0;
-    elapsed = 0.;
-    waiting_peak = 0;
-    inclusion_pruned = 0;
-    dedup_hits = 0;
-    extrapolations = 0;
-  }
-
-let verify ?order ?(max_states = 2_000_000) ?deadline ?(inclusion = false)
-    ?(prefilter = false) specs =
-  let screened =
-    if not prefilter then None
-    else
-      (* the same two-sided analytic screen the discrete engine trusts;
-         both engines decide the identical safety property, so a
-         decided group never needs the zone graph *)
-      match Sched.Prefilter.decide specs with
-      | Sched.Prefilter.Analytic_safe -> Some `Safe
-      | Sched.Prefilter.Analytic_unsafe _ -> Some `Unsafe
-      | Sched.Prefilter.Inconclusive -> None
+let verify ?(max_states = 2_000_000) ?deadline specs =
+  let r =
+    Ta.Reach.run ~max_states ?deadline ~inclusion:false (build specs)
+      (error_target specs)
   in
-  match screened with
-  | Some outcome -> { outcome; stats = zero_stats }
-  | None ->
-    let net = build specs in
-    let r =
-      Ta.Reach.run ?order ~max_states ?deadline ~inclusion net
-        (error_target specs)
-    in
-    let outcome =
-      match r.Ta.Reach.outcome with
-      | Ta.Reach.Hit _ -> `Unsafe
-      | Ta.Reach.Unreachable -> `Safe
-      | Ta.Reach.Exhausted reason -> `Undetermined reason
-    in
-    { outcome; stats = r.Ta.Reach.stats }
+  let outcome =
+    match r.Ta.Reach.outcome with
+    | Ta.Reach.Hit _ -> `Unsafe
+    | Ta.Reach.Unreachable -> `Safe
+    | Ta.Reach.Exhausted reason -> `Undetermined reason
+  in
+  { outcome; stats = r.Ta.Reach.stats }

@@ -28,24 +28,15 @@ type result = {
 }
 
 val verify :
-  ?order:[ `Bfs | `Dfs ] ->
   ?max_states:int ->
   ?deadline:float ->
-  ?inclusion:bool ->
-  ?prefilter:bool ->
   Sched.Appspec.t array ->
   result
 (** Zone-based model checking of the group (default cap 2,000,000
     symbolic states; [deadline] is a wall-clock budget in seconds).
-    [order] picks the {!Ta.Reach} frontier order — the Safe/Unsafe
-    answer is order-independent.
-    [inclusion] (default [false]) switches {!Ta.Reach.run} to
-    zone-inclusion pruning; the tick-driven zones of this model are
-    point-like, so exact matching is usually faster.
-    [prefilter] (default [false]) consults the verdict-preserving
-    analytic screen ({!Sched.Prefilter.decide}) first: a group it
-    decides never builds the zone graph and reports all-zero
-    {!Ta.Reach.stats}. *)
+    Runs {!Ta.Reach.run} with exact matching only: the tick-driven
+    zones of this model are point-like, so zone inclusion would cost
+    more than it prunes. *)
 
 (** Store layout (exposed for white-box tests). *)
 module Layout : sig

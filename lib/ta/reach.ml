@@ -190,7 +190,7 @@ type xkey = { xh : int; xdisc : int array; zone : int }
 
 module Zone_tbl = Hashtbl.Make (Dbm)
 
-let run_impl ~order ~max_states ~deadline ~inclusion net target =
+let run_impl ~max_states ~deadline ~inclusion net target =
   let extra = ref 0 in
   let initial = Network.initial_state net in
   (* hash-consed zone store: physical id per distinct canonical DBM *)
@@ -241,7 +241,7 @@ let run_impl ~order ~max_states ~deadline ~inclusion net target =
            })
   in
   let r =
-    Space.run ~order ~exact:true ?coverage ~max_states ~max_states_check:`Insert
+    Space.run ~exact:true ?coverage ~max_states ~max_states_check:`Insert
       ?deadline ~deadline_mask:255 ~target_check:`Insert ~initial_peak:1
       ~metrics_prefix:"ta.reach" initial
   in
@@ -273,18 +273,16 @@ let run_impl ~order ~max_states ~deadline ~inclusion net target =
       List.map (fun (label, state) -> { automaton = label; state }) r.Space.trace;
   }
 
-let run ?(order = `Bfs) ?(max_states = 2_000_000) ?deadline ?(inclusion = true)
-    net target =
+let run ?(max_states = 2_000_000) ?deadline ?(inclusion = true) net target =
   if max_states <= 0 then invalid_arg "Reach.run: max_states";
   (match deadline with
    | Some d when d <= 0. -> invalid_arg "Reach.run: deadline"
    | _ -> ());
-  let order = match order with `Bfs -> Search.Bfs | `Dfs -> Search.Dfs in
   Obs.Span.with_ "ta.reach" (fun () ->
-      run_impl ~order ~max_states ~deadline ~inclusion net target)
+      run_impl ~max_states ~deadline ~inclusion net target)
 
-let reachable ?order ?max_states ?deadline ?inclusion net target =
-  match (run ?order ?max_states ?deadline ?inclusion net target).outcome with
+let reachable ?max_states ?deadline ?inclusion net target =
+  match (run ?max_states ?deadline ?inclusion net target).outcome with
   | Hit _ -> true
   | Unreachable -> false
   | Exhausted reason ->

@@ -48,7 +48,6 @@ val successors : Network.t -> Network.state -> (string * Network.state) list
     synchronisation. *)
 
 val run :
-  ?order:[ `Bfs | `Dfs ] ->
   ?max_states:int ->
   ?deadline:float ->
   ?inclusion:bool ->
@@ -58,12 +57,10 @@ val run :
 (** Search (an instantiation of the generic {!Search} engine over
     interned, hash-consed zones) until the target is hit, the space is
     exhausted, or a budget runs out — the three cases are distinguished
-    explicitly by {!outcome}, never conflated.  [order] (default
-    [`Bfs]) picks the frontier: depth-first visits the same reachable
-    set and returns the same Hit/Unreachable answer, but state counts
-    and witness traces may differ.  [deadline] is a wall-clock budget
-    in seconds, checked every 256 expansions so the overrun is bounded
-    by one check interval.
+    explicitly by {!outcome}, never conflated.  The frontier is
+    breadth-first.  [deadline] is a wall-clock budget in seconds,
+    checked every 256 expansions so the overrun is bounded by one check
+    interval.
     [inclusion] (default [true]) enables zone-inclusion pruning on top
     of exact-match deduplication; with it off the search visits more
     symbolic states but each visit costs O(1) lookups — a better
@@ -71,7 +68,6 @@ val run :
     @raise Invalid_argument when [max_states <= 0] or [deadline <= 0]. *)
 
 val reachable :
-  ?order:[ `Bfs | `Dfs ] ->
   ?max_states:int ->
   ?deadline:float ->
   ?inclusion:bool ->

@@ -176,12 +176,12 @@ let is_safe_verdict = function
 let test_dverify_single_safe () =
   let g = [| spec ~t_w_max:0 ~dmin:2 ~dmax:3 ~r:10 () |] in
   List.iter
-    (fun mode ->
-      match (Core.Dverify.verify ~mode g).Core.Dverify.verdict with
+    (fun (r : Core.Dverify.result) ->
+      match r.Core.Dverify.verdict with
       | Core.Dverify.Safe -> ()
       | Core.Dverify.Unsafe _ | Core.Dverify.Undetermined _ ->
         Alcotest.fail "single app is trivially safe")
-    [ `Bfs; `Subsumption ]
+    [ Core.Dverify.verify g; Core.Dverify.reference g ]
 
 let test_dverify_unsafe_pair_with_counterexample () =
   let g =
@@ -225,41 +225,48 @@ let test_dverify_modes_agree () =
   in
   List.iter
     (fun g ->
-      let v mode =
-        is_safe_verdict (Core.Dverify.verify ~mode g).Core.Dverify.verdict
-      in
-      check_bool "bfs = subsumption" true (v `Bfs = v `Subsumption))
+      let v (r : Core.Dverify.result) = is_safe_verdict r.Core.Dverify.verdict in
+      check_bool "engine = reference" true
+        (v (Core.Dverify.verify g) = v (Core.Dverify.reference g)))
     groups
 
 (* Six apps whose quiet times pass 512 samples take 15-16 bits each,
    so a packed state needs more than the 62 bits of an int.  Pinned to
-   the verdicts, state and transition counts the engine reported
-   before states were packed. *)
+   the verdicts, counts and max-wait tables of the engine and of the
+   reference, whose exact dedup keys on the long encodings. *)
 let wide_group ~t_w_max ~dmin ~dmax =
   Array.init 6 (fun id ->
       spec ~name:(Printf.sprintf "W%d" (id + 1)) ~id ~t_w_max ~dmin ~dmax
         ~r:(512 + (7 * id)) ())
 
 let test_dverify_wide_layout () =
-  let pin label (r : Core.Dverify.result) ~safe ~states ~transitions ~wait =
+  let pin label (r : Core.Dverify.result) ~safe ~states ~transitions ~max_wait =
     check_bool (label ^ " verdict") safe (is_safe_verdict r.Core.Dverify.verdict);
     check_int (label ^ " states") states r.Core.Dverify.stats.Core.Dverify.states;
     check_int (label ^ " transitions") transitions
       r.Core.Dverify.stats.Core.Dverify.transitions;
     check_bool (label ^ " max_wait") true
-      (r.Core.Dverify.stats.Core.Dverify.max_wait = Array.make 6 wait)
+      (r.Core.Dverify.stats.Core.Dverify.max_wait = max_wait)
   in
   let tight = wide_group ~t_w_max:2 ~dmin:2 ~dmax:3 in
   check_bool "unbounded layout exceeds an int" true
     (Sched.Slot_state.Packed.(bits (layout tight)) > 62);
-  pin "unbounded" (Core.Dverify.verify tight) ~safe:false ~states:61357
-    ~transitions:61358 ~wait:2;
+  (* an aborted run's table holds the grants seen before the error *)
+  pin "unbounded" (Core.Dverify.verify tight) ~safe:false ~states:1959
+    ~transitions:1960 ~max_wait:[| 0; 2; 0; 0; 0; 0 |];
+  pin "unbounded reference" (Core.Dverify.reference tight) ~safe:false
+    ~states:61357 ~transitions:61358 ~max_wait:(Array.make 6 2);
   let loose = wide_group ~t_w_max:5 ~dmin:1 ~dmax:2 in
   check_bool "bounded layout exceeds an int" true
     (Sched.Slot_state.Packed.(bits (layout ~instances:1 loose)) > 62);
-  pin "bounded k=1"
-    (Core.Dverify.verify_bounded ~instances:1 loose)
-    ~safe:true ~states:27208 ~transitions:81400 ~wait:5
+  List.iter
+    (fun (label, r) ->
+      pin label r ~safe:true ~states:27208 ~transitions:81400
+        ~max_wait:(Array.make 6 5))
+    [
+      ("bounded k=1", Core.Dverify.verify_bounded ~instances:1 loose);
+      ("bounded k=1 reference", Core.Dverify.reference ~instances:1 loose);
+    ]
 
 let test_dverify_bounded_consistent () =
   let g =
@@ -699,6 +706,33 @@ let gen_group_specs =
              ~r)
          timings))
 
+(* replay a counterexample's disturbance schedule through the canonical
+   transition function: it must produce an error *)
+let replays_to_error g (ce : Core.Dverify.counterexample) =
+  let st = ref (Sched.Slot_state.initial g) in
+  let seen = ref false in
+  List.iter
+    (fun (disturbed, _) ->
+      let st', out = Sched.Slot_state.tick g !st ~disturbed in
+      if out.Sched.Slot_state.new_errors <> [] then seen := true;
+      st := st')
+    ce.Core.Dverify.steps;
+  !seen
+
+(* the engine against the breadth-first reference: the same verdict,
+   on Safe the same max-wait table, on Unsafe two real witnesses with
+   the reference's no longer than the engine's *)
+let agrees_with_reference g (engine : Core.Dverify.result)
+    (reference : Core.Dverify.result) =
+  match (engine.Core.Dverify.verdict, reference.Core.Dverify.verdict) with
+  | Core.Dverify.Safe, Core.Dverify.Safe ->
+    engine.Core.Dverify.stats.Core.Dverify.max_wait
+    = reference.Core.Dverify.stats.Core.Dverify.max_wait
+  | Core.Dverify.Unsafe e, Core.Dverify.Unsafe r ->
+    replays_to_error g e && replays_to_error g r
+    && List.length r.Core.Dverify.steps <= List.length e.Core.Dverify.steps
+  | _ -> false
+
 (* The zone engine is exact but its zone graph explodes on some safe
    4-app groups: it must decide every group of up to three apps and
    agree whenever it decides a 4-app group within its budget. *)
@@ -706,12 +740,12 @@ let prop_engines_agree =
   QCheck2.Test.make
     ~name:"discrete BFS = subsumption = TA zones = quotient" ~count:40
     gen_group_specs (fun g ->
-      let dv ?symmetry mode = Core.Dverify.verify ?symmetry ~mode g in
-      let safe (r : Core.Dverify.result) = is_safe_verdict r.Core.Dverify.verdict in
-      let waits (r : Core.Dverify.result) = r.Core.Dverify.stats.Core.Dverify.max_wait in
-      let bfs = dv `Bfs and sub = dv `Subsumption in
-      let qbfs = dv ~symmetry:true `Bfs and qsub = dv ~symmetry:true `Subsumption in
-      let verdict = safe bfs in
+      let engine = Core.Dverify.verify g and reference = Core.Dverify.reference g in
+      let bounded_agree k =
+        agrees_with_reference g
+          (Core.Dverify.verify_bounded ~instances:k g)
+          (Core.Dverify.reference ~instances:k g)
+      in
       let zones =
         let max_states = if Array.length g <= 3 then 400_000 else 50_000 in
         match (Core.Ta_model.verify ~max_states g).Core.Ta_model.outcome with
@@ -719,11 +753,11 @@ let prop_engines_agree =
         | `Unsafe -> Some false
         | `Undetermined _ -> None
       in
-      List.for_all (fun r -> safe r = verdict) [ sub; qbfs; qsub ]
-      && ((not verdict) || (waits qbfs = waits bfs && waits qsub = waits sub))
+      agrees_with_reference g engine reference
+      && bounded_agree 1 && bounded_agree 2
       &&
       match zones with
-      | Some z -> z = verdict
+      | Some z -> z = is_safe_verdict reference.Core.Dverify.verdict
       | None -> Array.length g = 4)
 
 let prop_counterexample_replays =
@@ -732,16 +766,7 @@ let prop_counterexample_replays =
       match (Core.Dverify.verify g).Core.Dverify.verdict with
       | Core.Dverify.Safe -> true
       | Core.Dverify.Undetermined _ -> false
-      | Core.Dverify.Unsafe ce ->
-        let st = ref (Sched.Slot_state.initial g) in
-        let seen = ref false in
-        List.iter
-          (fun (disturbed, _) ->
-            let st', out = Sched.Slot_state.tick g !st ~disturbed in
-            if out.Sched.Slot_state.new_errors <> [] then seen := true;
-            st := st')
-          ce.Core.Dverify.steps;
-        !seen)
+      | Core.Dverify.Unsafe ce -> replays_to_error g ce)
 
 let prop_dwell_window_always_feasible =
   (* the suffix-safe invariant: EVERY dwell in [T-, T+] meets J* (so a

@@ -348,7 +348,7 @@ let test_blackout_flags_affected_app () =
   | _ -> Alcotest.fail "one verdict per application expected"
 
 (* ------------------------------------------------------------------ *)
-(* Budgeted verification + escalation *)
+(* Budgeted verification *)
 
 let test_dverify_state_budget () =
   let specs = Core.Mapping.specs_of_group two_apps in
@@ -360,17 +360,6 @@ let test_dverify_state_budget () =
   | Core.Dverify.Undetermined _ -> Alcotest.fail "wrong budget reason"
   | Core.Dverify.Safe | Core.Dverify.Unsafe _ ->
     Alcotest.fail "a spent budget must yield Undetermined, never a verdict"
-
-let test_escalating_verifier () =
-  let specs = Core.Mapping.specs_of_group two_apps in
-  (match Core.Mapping.escalating () specs with
-  | `Safe -> ()
-  | `Unsafe | `Undetermined _ -> Alcotest.fail "unbudgeted escalation decides");
-  match Core.Mapping.escalating ~max_states:1 () specs with
-  | `Undetermined reason ->
-    check_bool "reports both stages" true
-      (contains reason "exact" && contains reason "bounded")
-  | `Safe | `Unsafe -> Alcotest.fail "budget of 1 state cannot decide"
 
 let test_first_fit_counts_undetermined () =
   let verifier _ = `Undetermined "always gives up" in
@@ -467,8 +456,6 @@ let () =
         [
           Alcotest.test_case "state budget undetermined" `Quick
             test_dverify_state_budget;
-          Alcotest.test_case "escalating verifier" `Quick
-            test_escalating_verifier;
           Alcotest.test_case "first-fit counts undetermined" `Quick
             test_first_fit_counts_undetermined;
         ] );

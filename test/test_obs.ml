@@ -211,7 +211,7 @@ let test_engine_metrics () =
   in
   let specs = Core.Mapping.specs_of_group apps in
   let dr = Core.Dverify.verify specs in
-  let tr = Core.Ta_model.verify ~inclusion:false specs in
+  let tr = Core.Ta_model.verify specs in
   let report = Obs.Report.collect ~command:"engines" () in
   let m = report.Obs.Report.metrics in
   check_bool "dverify.states matches stats" true

@@ -227,7 +227,7 @@ let test_dverify_deterministic_safe () =
   let g = pair ~r:30 in
   let results =
     sharded_runs [ 1; 2; 4 ] (fun () ->
-        dv_key (Core.Dverify.verify ~mode:`Bfs g))
+        dv_key (Core.Dverify.verify g))
   in
   check_bool "safe group: identical verdict and stats" true
     (all_equal results)
@@ -237,7 +237,7 @@ let test_dverify_deterministic_unsafe () =
   let g = pair ~r:9 in
   let results =
     sharded_runs [ 1; 2; 4 ] (fun () ->
-        dv_key (Core.Dverify.verify ~mode:`Bfs g))
+        dv_key (Core.Dverify.verify g))
   in
   check_bool "unsafe group: identical counterexample and stats" true
     (all_equal results);
@@ -251,13 +251,13 @@ let test_dverify_deterministic_budget () =
   let g = pair ~r:30 in
   let results =
     sharded_runs [ 1; 2; 4 ] (fun () ->
-        dv_key (Core.Dverify.verify ~mode:`Bfs ~max_states:20 g))
+        dv_key (Core.Dverify.verify ~max_states:3 g))
   in
   check_bool "budget cut-off byte-identical" true (all_equal results);
   match results with
-  | (Core.Dverify.Undetermined (Core.Dverify.State_budget 20), _, _, _) :: _
+  | (Core.Dverify.Undetermined (Core.Dverify.State_budget 3), _, _, _) :: _
     -> ()
-  | _ -> Alcotest.fail "expected Undetermined (State_budget 20)"
+  | _ -> Alcotest.fail "expected Undetermined (State_budget 3)"
 
 let test_dverify_bounded_deterministic () =
   let g = pair ~r:30 in
@@ -283,9 +283,15 @@ let test_mapping_deterministic () =
     (all_equal packings)
 
 let test_mapping_deterministic_under_budget () =
-  (* an escalating verifier whose stages exhaust their state budgets:
-     the Undetermined outcomes are counted, and deterministically *)
-  let verifier = Core.Mapping.escalating ~max_states:40 () in
+  (* a verifier whose state budget runs out on the larger groups: the
+     Undetermined outcomes are counted, and deterministically *)
+  let verifier specs =
+    match (Core.Dverify.verify ~max_states:40 specs).Core.Dverify.verdict with
+    | Core.Dverify.Safe -> `Safe
+    | Core.Dverify.Unsafe _ -> `Unsafe
+    | Core.Dverify.Undetermined reason ->
+      `Undetermined (Format.asprintf "%a" Core.Dverify.pp_reason reason)
+  in
   let apps = Lazy.force apps in
   let outcomes =
     sharded_runs [ 1; 2; 4 ] (fun () ->
@@ -303,11 +309,13 @@ let test_mapping_deterministic_under_budget () =
   | [] -> assert false
 
 let test_mapping_cache_shared_with_optimal () =
-  (* analytic screen off: screened probes are answered ahead of the
-     cache, so only unscreened runs make the sharing observable *)
+  (* a caller-supplied verifier runs unscreened: screened probes are
+     answered ahead of the cache, so only unscreened runs make the
+     sharing observable *)
   let cache = Core.Mapping.create_cache () in
-  let ff = Core.Mapping.first_fit ~cache ~prefilter:false (Lazy.force apps) in
-  let opt = Core.Mapping.optimal ~cache ~prefilter:false (Lazy.force apps) in
+  let verifier = Core.Mapping.default_verifier in
+  let ff = Core.Mapping.first_fit ~cache ~verifier (Lazy.force apps) in
+  let opt = Core.Mapping.optimal ~cache ~verifier (Lazy.force apps) in
   let hits, misses = Core.Mapping.cache_stats cache in
   check_bool "optimal reused first-fit verdicts" true (hits > 0);
   check_bool "some probes were fresh" true (misses > 0);
@@ -422,17 +430,17 @@ let test_reach_stats_domain_isolated () =
         (r.Core.Ta_model.outcome = reference.Core.Ta_model.outcome))
     [ ra; rb ];
   (* the discrete engine: two domains each verify S2, the unsafe AB
-     pair and the identical-timing trio (quotiented), in opposite
+     pair and the identical-timing trio (both quotiented), in opposite
      orders, at the same time *)
   let groups =
     [
-      ("S2", case_group [ "C6"; "C2" ], false);
-      ("AB", uniform [ "A"; "B" ] ~t_w_max:1 ~dmin:3 ~dmax:4 ~r:20, false);
-      ("trio", uniform [ "A"; "B"; "C" ] ~t_w_max:8 ~dmin:3 ~dmax:4 ~r:13, true);
+      ("S2", case_group [ "C6"; "C2" ]);
+      ("AB", uniform [ "A"; "B" ] ~t_w_max:1 ~dmin:3 ~dmax:4 ~r:20);
+      ("trio", uniform [ "A"; "B"; "C" ] ~t_w_max:8 ~dmin:3 ~dmax:4 ~r:13);
     ]
   in
-  let verify (_, specs, symmetry) = Core.Dverify.verify ~symmetry specs in
-  let text (_, specs, _) (r : Core.Dverify.result) =
+  let verify (_, specs) = Core.Dverify.verify specs in
+  let text (_, specs) (r : Core.Dverify.result) =
     match r.Core.Dverify.verdict with
     | Core.Dverify.Unsafe ce ->
       Format.asprintf "%a" (Core.Dverify.pp_counterexample specs) ce
@@ -446,7 +454,7 @@ let test_reach_stats_domain_isolated () =
   List.iter
     (fun concurrent ->
       List.iter2
-        (fun ((label, _, _) as group) (seq, r) ->
+        (fun ((label, _) as group) (seq, r) ->
           check_bool
             (label ^ ": verdict, states, transitions and max_wait as sequential")
             true

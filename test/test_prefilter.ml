@@ -230,7 +230,9 @@ let test_singleton_accepted () =
   | _ -> Alcotest.fail "singleton must be accepted"
 
 (* the screen must never flip a packing: first-fit over the case study
-   with and without it is identical, verification counts included *)
+   with it (the built-in verifier) and without it (the same engine
+   passed as a caller-supplied verifier) is identical, verification
+   counts included *)
 let test_mapping_invariant_under_screen () =
   let apps =
     List.map
@@ -245,41 +247,17 @@ let test_mapping_invariant_under_screen () =
     Format.asprintf "%a" Core.Mapping.pp o
   in
   let on = Core.Mapping.first_fit apps in
-  let off = Core.Mapping.first_fit ~prefilter:false ~symmetry:false apps in
+  let off = Core.Mapping.first_fit ~verifier:Core.Mapping.default_verifier apps in
   Alcotest.(check string)
     "identical packing and counts with the screen on and off" (render off)
     (render on);
   let opt_on = Core.Mapping.optimal apps in
-  let opt_off = Core.Mapping.optimal ~prefilter:false ~symmetry:false apps in
+  let opt_off =
+    Core.Mapping.optimal ~verifier:Core.Mapping.default_verifier apps
+  in
   Alcotest.(check string)
     "identical optimal partition with the screen on and off" (render opt_off)
     (render opt_on)
-
-(* the zone engine's screened path must be verdict-preserving too:
-   [Ta_model.verify ~prefilter:true] answers exactly what the bare
-   engine answers, and a screened group reports all-zero stats *)
-let prop_ta_verify_screened =
-  QCheck2.Test.make
-    ~name:"Ta_model.verify with the screen matches the bare engine"
-    ~count:60 ~print:pp_group gen_group (fun specs ->
-      let bare = Core.Ta_model.verify specs in
-      let screened = Core.Ta_model.verify ~prefilter:true specs in
-      if screened.Core.Ta_model.outcome <> bare.Core.Ta_model.outcome then
-        QCheck2.Test.fail_report "screen changed the zone-engine verdict";
-      (match Sched.Prefilter.decide specs with
-       | Sched.Prefilter.Inconclusive ->
-         if screened.Core.Ta_model.stats.Ta.Reach.states
-            <> bare.Core.Ta_model.stats.Ta.Reach.states
-         then
-           QCheck2.Test.fail_report
-             "inconclusive screen still altered the exploration"
-       | Sched.Prefilter.Analytic_safe | Sched.Prefilter.Analytic_unsafe _ ->
-         if screened.Core.Ta_model.stats.Ta.Reach.states <> 0
-            || screened.Core.Ta_model.stats.Ta.Reach.transitions <> 0
-         then
-           QCheck2.Test.fail_report
-             "screened verify must not build the zone graph");
-      true)
 
 (* ------------------------------------------------------------------ *)
 
@@ -288,7 +266,7 @@ let () =
     [
       ( "soundness",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_soundness; prop_soundness_lazy; prop_ta_verify_screened ] );
+          [ prop_soundness; prop_soundness_lazy ] );
       ( "boundaries",
         [
           Alcotest.test_case "busy window == deadline accepts" `Quick

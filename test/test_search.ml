@@ -6,14 +6,15 @@
    `Generate/`Insert target regimes, antichain coverage pruning, and
    parent-table trace reconstruction.
 
-   Differential pins re-run the engine's three production
-   instantiations — the discrete adversary (Core.Dverify), zone-graph
-   reachability (Core.Ta_model / Ta.Reach) and the slot mapper built on
-   them — and compare verdicts, state/transition counts, dwell
-   (max-wait) tables, counterexample text and witness traces against
-   numbers captured from the pre-refactor explorers on the paper's
-   case study.  Any drift here means the refactor changed observable
-   semantics, which is exactly what it must never do; the same pins are
+   Differential pins re-run the engine's production instantiations —
+   the discrete adversary (Core.Dverify, both its depth-first engine
+   and its breadth-first reference), zone-graph reachability
+   (Core.Ta_model / Ta.Reach) and the slot mapper built on them — and
+   compare verdicts, state/transition counts, dwell (max-wait) tables,
+   counterexample text and witness traces against numbers pinned on
+   the paper's case study.  The reference's counts are those of the
+   original plain breadth-first explorer; the engine must reproduce
+   its verdicts and tables in far fewer states.  The same pins are
    asserted for whole searches run as tasks of 1/2/4-domain pools, the
    way the serve layer shards a request's groups. *)
 
@@ -226,11 +227,6 @@ let check_result label (r : Core.Dverify.result) ~verdict ~states
   Alcotest.(check string) (label ^ " max_wait") max_wait
     (pr_arr r.Core.Dverify.stats.Core.Dverify.max_wait)
 
-let check_dv label ?order ?mode ?prefilter ?symmetry specs ~verdict ~states
-    ~transitions ~max_wait =
-  let r = Core.Dverify.verify ?order ?mode ?prefilter ?symmetry specs in
-  check_result label r ~verdict ~states ~transitions ~max_wait;
-  r
 
 (* run [thunks] as one submission on a fresh pool of [jobs] domains —
    the way the serve layer shards a request's groups — and return the
@@ -242,23 +238,22 @@ let sharded ~jobs thunks =
     (fun () -> Par.Pool.await_list pool (Par.Pool.submit_list pool thunks))
 
 let test_pin_dverify () =
-  ignore
-    (check_dv "S2 subsumption" (Lazy.force s2) ~verdict:"Safe" ~states:10201
-       ~transitions:10609 ~max_wait:"[|6;7|]");
-  ignore
-    (check_dv "S2 plain BFS" ~mode:`Bfs (Lazy.force s2) ~verdict:"Safe"
-       ~states:10201 ~transitions:10609 ~max_wait:"[|6;7|]");
-  ignore
-    (check_dv "C1C5 subsumption" (Lazy.force c1c5) ~verdict:"Safe" ~states:676
-       ~transitions:784 ~max_wait:"[|3;3|]");
-  ignore
-    (check_dv "C1C5 plain BFS" ~mode:`Bfs (Lazy.force c1c5) ~verdict:"Safe"
-       ~states:676 ~transitions:784 ~max_wait:"[|3;3|]")
+  let s2 = Lazy.force s2 and c1c5 = Lazy.force c1c5 in
+  check_result "S2 engine" (Core.Dverify.verify s2) ~verdict:"Safe"
+    ~states:2204 ~transitions:2434 ~max_wait:"[|6;7|]";
+  check_result "S2 reference" (Core.Dverify.reference s2) ~verdict:"Safe"
+    ~states:10201 ~transitions:10609 ~max_wait:"[|6;7|]";
+  check_result "C1C5 engine" (Core.Dverify.verify c1c5) ~verdict:"Safe"
+    ~states:359 ~transitions:434 ~max_wait:"[|3;3|]";
+  check_result "C1C5 reference" (Core.Dverify.reference c1c5) ~verdict:"Safe"
+    ~states:676 ~transitions:784 ~max_wait:"[|3;3|]"
 
 let test_pin_dverify_s1 () =
-  ignore
-    (check_dv "S1 subsumption" (Lazy.force s1) ~verdict:"Safe" ~states:1431195
-       ~transitions:1812343 ~max_wait:"[|11;11;9;13|]")
+  let s1 = Lazy.force s1 in
+  check_result "S1 engine" (Core.Dverify.verify s1) ~verdict:"Safe"
+    ~states:53643 ~transitions:75222 ~max_wait:"[|11;11;9;13|]";
+  check_result "S1 reference" (Core.Dverify.reference s1) ~verdict:"Safe"
+    ~states:1431246 ~transitions:1812394 ~max_wait:"[|11;11;9;13|]"
 
 let expected_ce_text =
   "t=0   A:wait(0) B:run(ct=0,w=0)  <- disturb B,A\n\
@@ -266,34 +261,59 @@ let expected_ce_text =
    t=2   A:ERROR B:run(ct=2,w=0)\n\
    miss: A"
 
-let test_pin_counterexample () =
-  let g = Lazy.force unsafe_pair in
-  let r =
-    check_dv "AB" g ~verdict:"Unsafe" ~states:17 ~transitions:18
-      ~max_wait:"[|0;0|]"
-  in
+let ce_text g (r : Core.Dverify.result) =
   match r.Core.Dverify.verdict with
   | Core.Dverify.Unsafe ce ->
-    Alcotest.(check (list int)) "failing ids" [ 0 ] ce.Core.Dverify.failing;
-    Alcotest.(check (list (list int)))
-      "disturbance schedule"
-      [ [ 1; 0 ]; []; [] ]
-      (List.map fst ce.Core.Dverify.steps);
-    Alcotest.(check string) "rendered counterexample" expected_ce_text
-      (String.trim
-         (Format.asprintf "%a" (Core.Dverify.pp_counterexample g) ce))
-  | _ -> Alcotest.fail "AB must be unsafe"
+    String.trim (Format.asprintf "%a" (Core.Dverify.pp_counterexample g) ce)
+  | Core.Dverify.Safe | Core.Dverify.Undetermined _ ->
+    Alcotest.fail "AB must be unsafe"
 
-let check_ta label ?order ?inclusion specs ~verdict ~states ~transitions ~peak
-    ~dedup ~incl ~extrap =
-  let r = Core.Ta_model.verify ?order ?inclusion specs in
-  let v =
-    match r.Core.Ta_model.outcome with
-    | `Safe -> "Safe"
-    | `Unsafe -> "Unsafe"
-    | `Undetermined _ -> "Undet"
-  in
-  let s = r.Core.Ta_model.stats in
+let test_pin_counterexample () =
+  let g = Lazy.force unsafe_pair in
+  let r = Core.Dverify.reference g in
+  check_result "AB reference" r ~verdict:"Unsafe" ~states:17 ~transitions:18
+    ~max_wait:"[|0;0|]";
+  (match r.Core.Dverify.verdict with
+   | Core.Dverify.Unsafe ce ->
+     Alcotest.(check (list int)) "failing ids" [ 0 ] ce.Core.Dverify.failing;
+     Alcotest.(check (list (list int)))
+       "disturbance schedule"
+       [ [ 1; 0 ]; []; [] ]
+       (List.map fst ce.Core.Dverify.steps)
+   | _ -> Alcotest.fail "AB must be unsafe");
+  Alcotest.(check string) "rendered counterexample" expected_ce_text
+    (ce_text g r);
+  let e = Core.Dverify.verify g in
+  check_result "AB engine" e ~verdict:"Unsafe" ~states:4 ~transitions:7
+    ~max_wait:"[|0;0|]";
+  (* depth-first in the quotient, the engine finds the same witness *)
+  Alcotest.(check string) "engine counterexample" expected_ce_text
+    (ce_text g e)
+
+(* the zone engine's verdict and statistics: through Ta_model, or
+   through Ta.Reach with zone inclusion on *)
+let zones ~inclusion specs =
+  if inclusion then
+    let r =
+      Ta.Reach.run ~inclusion (Core.Ta_model.build specs)
+        (Core.Ta_model.error_target specs)
+    in
+    ( (match r.Ta.Reach.outcome with
+       | Ta.Reach.Hit _ -> "Unsafe"
+       | Ta.Reach.Unreachable -> "Safe"
+       | Ta.Reach.Exhausted _ -> "Undet"),
+      r.Ta.Reach.stats )
+  else
+    let r = Core.Ta_model.verify specs in
+    ( (match r.Core.Ta_model.outcome with
+       | `Safe -> "Safe"
+       | `Unsafe -> "Unsafe"
+       | `Undetermined _ -> "Undet"),
+      r.Core.Ta_model.stats )
+
+let check_ta label ?(inclusion = false) specs ~verdict ~states ~transitions
+    ~peak ~dedup ~incl ~extrap =
+  let v, s = zones ~inclusion specs in
   Alcotest.(check string) (label ^ " verdict") verdict v;
   Alcotest.(check int) (label ^ " states") states s.Ta.Reach.states;
   Alcotest.(check int) (label ^ " transitions") transitions
@@ -345,30 +365,6 @@ let test_pin_reach_trace () =
     "witness trace labels" expected_ab_trace
     (List.map (fun s -> s.Ta.Reach.automaton) res.Ta.Reach.trace)
 
-(* verdicts never depend on the frontier order; counts may *)
-let test_order_independence () =
-  List.iter
-    (fun (label, specs) ->
-      let dv order =
-        match (Core.Dverify.verify ~order specs).Core.Dverify.verdict with
-        | Core.Dverify.Safe -> "Safe"
-        | Core.Dverify.Unsafe _ -> "Unsafe"
-        | Core.Dverify.Undetermined _ -> "Undet"
-      in
-      let ta order =
-        match (Core.Ta_model.verify ~order specs).Core.Ta_model.outcome with
-        | `Safe -> "Safe"
-        | `Unsafe -> "Unsafe"
-        | `Undetermined _ -> "Undet"
-      in
-      Alcotest.(check string) (label ^ " discrete") (dv `Bfs) (dv `Dfs);
-      Alcotest.(check string) (label ^ " zones") (ta `Bfs) (ta `Dfs))
-    [
-      ("S2", Lazy.force s2);
-      ("C1C5", Lazy.force c1c5);
-      ("AB", Lazy.force unsafe_pair);
-    ]
-
 (* whole searches as pool tasks, two at once: same verdict, same
    counts, same dwell table at every pool size *)
 let test_jobs_determinism () =
@@ -382,19 +378,19 @@ let test_jobs_determinism () =
       | [ rs2; rab ] ->
         check_result
           (Printf.sprintf "S2 jobs=%d" jobs)
-          rs2 ~verdict:"Safe" ~states:10201 ~transitions:10609
+          rs2 ~verdict:"Safe" ~states:2204 ~transitions:2434
           ~max_wait:"[|6;7|]";
         check_result
           (Printf.sprintf "AB jobs=%d" jobs)
-          rab ~verdict:"Unsafe" ~states:17 ~transitions:18 ~max_wait:"[|0;0|]"
+          rab ~verdict:"Unsafe" ~states:4 ~transitions:7 ~max_wait:"[|0;0|]"
       | _ -> assert false)
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Symmetry quotient pins.  The quotient must be invisible in every
-   observable: verdicts always, max-wait tables on Safe (orbit fix-up),
-   and the full counterexample text on Unsafe (transparent exact
-   re-run) — only the Safe-side state counts may shrink. *)
+(* Symmetry quotient pins.  The engine always quotients by
+   permutations of identical-timing applications; the quotient must be
+   invisible in the verdict and, on Safe, in the max-wait table (orbit
+   fix-up), and inert on groups with no two identical applications. *)
 
 (* three interchangeable applications, analytically safe but far from
    trivial for the engine: min dwell 3, so two competitors hold the
@@ -421,31 +417,24 @@ let dv_fingerprint (r : Core.Dverify.result) =
 
 let test_symmetry_safe_agrees () =
   let g = Lazy.force trio in
-  let exact = Core.Dverify.verify g in
-  let quotient = Core.Dverify.verify ~symmetry:true g in
-  (match (exact.Core.Dverify.verdict, quotient.Core.Dverify.verdict) with
+  let reference = Core.Dverify.reference g in
+  let quotient = Core.Dverify.verify g in
+  (match (reference.Core.Dverify.verdict, quotient.Core.Dverify.verdict) with
    | Core.Dverify.Safe, Core.Dverify.Safe -> ()
-   | _ -> Alcotest.fail "trio must be Safe with and without the quotient");
+   | _ -> Alcotest.fail "trio must be Safe in the engine and the reference");
   Alcotest.(check string)
     "orbit-max fix-up reproduces the exact max-wait table"
-    (pr_arr exact.Core.Dverify.stats.Core.Dverify.max_wait)
+    (pr_arr reference.Core.Dverify.stats.Core.Dverify.max_wait)
     (pr_arr quotient.Core.Dverify.stats.Core.Dverify.max_wait);
   Alcotest.(check bool)
     "quotient explores strictly fewer states" true
     (quotient.Core.Dverify.stats.Core.Dverify.states
-     < exact.Core.Dverify.stats.Core.Dverify.states);
-  (* plain BFS agrees too: the quotient composes with either mode *)
-  let qb = Core.Dverify.verify ~mode:`Bfs ~symmetry:true g in
-  Alcotest.(check string)
-    "same table under plain BFS"
-    (pr_arr exact.Core.Dverify.stats.Core.Dverify.max_wait)
-    (pr_arr qb.Core.Dverify.stats.Core.Dverify.max_wait)
+     < reference.Core.Dverify.stats.Core.Dverify.states)
 
 let test_symmetry_unsafe_byte_identical () =
-  (* the two AB applications are identical, so the quotient kicks in —
-     and on Unsafe the transparent exact re-run must make it invisible
-     bit-for-bit, counterexample text included, whichever pool domain
-     runs it *)
+  (* the two AB applications are identical, so the quotient kicks in;
+     its counterexample is real and the same bytes whichever pool
+     domain runs it *)
   let g = Lazy.force unsafe_pair in
   List.iter
     (fun jobs ->
@@ -453,40 +442,15 @@ let test_symmetry_unsafe_byte_identical () =
         (fun (r : Core.Dverify.result) ->
           check_result
             (Printf.sprintf "AB quotient jobs=%d" jobs)
-            r ~verdict:"Unsafe" ~states:17 ~transitions:18 ~max_wait:"[|0;0|]";
-          match r.Core.Dverify.verdict with
-          | Core.Dverify.Unsafe ce ->
-            Alcotest.(check (list int)) "failing ids" [ 0 ] ce.Core.Dverify.failing;
-            Alcotest.(check string) "rendered counterexample" expected_ce_text
-              (String.trim
-                 (Format.asprintf "%a" (Core.Dverify.pp_counterexample g) ce))
-          | _ -> Alcotest.fail "AB must stay unsafe under the quotient")
-        (sharded ~jobs
-           (List.init 2 (fun _ () -> Core.Dverify.verify ~symmetry:true g))))
+            r ~verdict:"Unsafe" ~states:4 ~transitions:7 ~max_wait:"[|0;0|]";
+          Alcotest.(check string) "rendered counterexample" expected_ce_text
+            (ce_text g r))
+        (sharded ~jobs (List.init 2 (fun _ () -> Core.Dverify.verify g))))
     [ 1; 2; 4 ]
 
-let test_symmetry_heterogeneous_untouched () =
-  (* no two S2 applications share parameters: every orbit is a
-     singleton and the quotient path must be bit-for-bit inert *)
-  ignore
-    (check_dv "S2 with symmetry" ~symmetry:true (Lazy.force s2) ~verdict:"Safe"
-       ~states:10201 ~transitions:10609 ~max_wait:"[|6;7|]")
-
-let test_symmetry_jobs_determinism () =
-  let g = Lazy.force trio in
-  let reference = dv_fingerprint (Core.Dverify.verify ~symmetry:true g) in
-  List.iter
-    (fun jobs ->
-      List.iter
-        (fun r ->
-          Alcotest.(check string)
-            (Printf.sprintf "quotient run identical at jobs %d" jobs)
-            reference (dv_fingerprint r))
-        (sharded ~jobs
-           (List.init 2 (fun _ () -> Core.Dverify.verify ~symmetry:true g))))
-    [ 1; 2; 4 ]
-
-let test_symmetry_orbit_metric () =
+(* with tracing on, count the states [f] folds onto another orbit
+   representative *)
+let collapsed f =
   Obs.Trace_ctx.enable ();
   Obs.Metric.reset ();
   Fun.protect
@@ -494,12 +458,35 @@ let test_symmetry_orbit_metric () =
       Obs.Metric.reset ();
       Obs.Trace_ctx.disable ())
     (fun () ->
-      ignore (Core.Dverify.verify ~symmetry:true (Lazy.force trio));
-      let collapsed =
-        Obs.Metric.value (Obs.Metric.counter "search.orbit_collapsed")
-      in
-      Alcotest.(check bool)
-        "orbit_collapsed > 0 on a 3-identical-app fleet" true (collapsed > 0))
+      ignore (f ());
+      Obs.Metric.value (Obs.Metric.counter "search.orbit_collapsed"))
+
+let test_symmetry_heterogeneous_untouched () =
+  (* no two S2 applications share parameters: every orbit is a
+     singleton and the quotient never relabels a state *)
+  let s2 = Lazy.force s2 in
+  Alcotest.(check int) "no state collapsed" 0
+    (collapsed (fun () -> Core.Dverify.verify s2));
+  check_result "S2 engine" (Core.Dverify.verify s2) ~verdict:"Safe"
+    ~states:2204 ~transitions:2434 ~max_wait:"[|6;7|]"
+
+let test_symmetry_jobs_determinism () =
+  let g = Lazy.force trio in
+  let reference = dv_fingerprint (Core.Dverify.verify g) in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun r ->
+          Alcotest.(check string)
+            (Printf.sprintf "quotient run identical at jobs %d" jobs)
+            reference (dv_fingerprint r))
+        (sharded ~jobs (List.init 2 (fun _ () -> Core.Dverify.verify g))))
+    [ 1; 2; 4 ]
+
+let test_symmetry_orbit_metric () =
+  Alcotest.(check bool)
+    "orbit_collapsed > 0 on a 3-identical-app fleet" true
+    (collapsed (fun () -> Core.Dverify.verify (Lazy.force trio)) > 0)
 
 let test_pin_mapping () =
   let apps = List.map app_of [ "C1"; "C2"; "C3"; "C4"; "C5"; "C6" ] in
@@ -537,7 +524,6 @@ let () =
           Alcotest.test_case "reach pins (S2)" `Quick test_pin_reach_s2;
           Alcotest.test_case "reach pins (C1C5)" `Quick test_pin_reach_c1c5;
           Alcotest.test_case "reach trace pin (AB)" `Quick test_pin_reach_trace;
-          Alcotest.test_case "order independence" `Quick test_order_independence;
           Alcotest.test_case "jobs 1/2/4 determinism" `Quick
             test_jobs_determinism;
           Alcotest.test_case "mapping packing pin" `Quick test_pin_mapping;
