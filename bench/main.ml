@@ -542,7 +542,7 @@ let system_simulation () =
           report.Cosim.System.tt_samples));
   (* replay the whole system on the reference transport and check the
      two network facts the control design rests on *)
-  let bus = Backends.Flexray_backend.default in
+  let bus = Flexray.Backend.default in
   Printf.printf "\nbus-level validation (%s):\n" (Bus.info bus);
   Format.printf "%a@." Cosim.Bus_check.pp (Cosim.System.bus_validate ~bus report)
 
@@ -1128,9 +1128,8 @@ let bus_sweep () =
       | Error e -> failwith e
     in
     match
-      Cosim.Campaign.run
-        ~bus:(Backends.default_of "ttw")
-        ~spec ~seed:42L ~runs:10 ~horizon:300 slots
+      Cosim.Campaign.run ~bus:Ttw.Backend.default ~spec ~seed:42L ~runs:10
+        ~horizon:300 slots
     with
     | Error e -> failwith e
     | Ok summary -> (Format.asprintf "%a" Cosim.Campaign.pp summary, summary)

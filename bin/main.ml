@@ -45,29 +45,12 @@ let mapping_cache_of = function
   | Some pc -> Core.Pcache.mapping_cache pc
   | None -> Core.Mapping.create_cache ()
 
-(* --bus NAME resolves against the transport registry; None means "no
-   replay at all", which is also what the nominal paths did before the
-   transport seam existed *)
-let bus_of_name = function
-  | None -> Ok None
-  | Some name ->
-    (match Backends.find name with
-     | Some _ -> Ok (Some (Backends.default_of name))
-     | None ->
-       Error
-         (Printf.sprintf "unknown bus backend %S (have: %s)" name
-            (String.concat ", " (Backends.names ()))))
-
 (* the reference transport is silent when every fact holds, so --bus
    flexray output stays byte-identical to the pre-seam CLI *)
 let bus_report_noteworthy bus (r : Cosim.Bus_check.result) =
   (not (String.equal (Bus.configured_name bus) "flexray"))
   || (not (Cosim.Bus_check.facts_hold r))
   || r.Cosim.Bus_check.lost_tx > 0
-
-let pp_int_array ppf a =
-  Format.fprintf ppf "[%s]"
-    (String.concat "," (Array.to_list (Array.map string_of_int a)))
 
 (* ------------------------------------------------------------------ *)
 (* tables *)
@@ -78,15 +61,7 @@ let tables_cmd_run cache names =
   match parse_apps ?pcache names with
   | Error (`Msg m) -> prerr_endline m; 1
   | Ok apps ->
-    List.iter
-      (fun (a : Core.App.t) ->
-        let t = a.Core.App.table in
-        Format.printf
-          "%s: r=%d J*=%d | J_T=%d J_E=%d T*_w=%d@.  T-_dw=%a@.  T+_dw=%a@."
-          a.Core.App.name a.Core.App.r a.Core.App.j_star t.Core.Dwell.jt
-          t.Core.Dwell.je t.Core.Dwell.t_w_max pp_int_array t.Core.Dwell.t_dw_min
-          pp_int_array t.Core.Dwell.t_dw_max)
-      apps;
+    List.iter (Format.printf "%a@." Core.App.pp_tables) apps;
     0
 
 (* ------------------------------------------------------------------ *)
@@ -234,9 +209,6 @@ let write_csv_opt csv contents =
 
 let simulate_cmd_run names disturbances horizon stride csv faults seed monitor
     bus =
-  match bus_of_name bus with
-  | Error m -> Printf.eprintf "simulate: --bus: %s\n" m; 1
-  | Ok bus ->
   match parse_apps names with
   | Error (`Msg m) -> prerr_endline m; 1
   | Ok [] -> prerr_endline "simulate: give at least one application"; 1
@@ -339,9 +311,6 @@ let stress_cmd_run names spec seed runs horizon cache bus =
   let names =
     if names = [] then [ "C1"; "C2"; "C3"; "C4"; "C5"; "C6" ] else names
   in
-  match bus_of_name bus with
-  | Error m -> Printf.eprintf "stress: --bus: %s\n" m; 1
-  | Ok bus ->
   with_pcache cache @@ fun pcache ->
   match parse_apps ?pcache names with
   | Error (`Msg m) -> prerr_endline m; 1
@@ -369,9 +338,6 @@ let stress_cmd_run names spec seed runs horizon cache bus =
 (* sweep *)
 
 let sweep_cmd_run name t_w_max t_dw_max csv bus =
-  match bus_of_name bus with
-  | Error m -> Printf.eprintf "sweep: --bus: %s\n" m; 1
-  | Ok bus ->
   match parse_apps [ name ] with
   | Error (`Msg m) -> prerr_endline m; 1
   | Ok [ app ] ->
@@ -414,31 +380,27 @@ let sweep_cmd_run name t_w_max t_dw_max csv bus =
    the WCRT of a control-frame-sized contended message under five
    interferers of twice that size, and whether the one-sample-delay
    assumption survives at the case study's h = 20 ms *)
-let bus_info_run name =
-  match bus_of_name (Some name) with
-  | Error m -> Printf.eprintf "bus info: %s\n" m; 1
-  | Ok None -> 1
-  | Ok (Some b) ->
-    Format.printf "%s@." (Bus.info b);
-    let size = Bus.control_frame_size b in
-    let flow = 6 in
-    let hp = List.init 5 (fun _ -> (2 * size, 5 * Bus.cycle_us b)) in
-    (match Bus.wcrt_us b ~flow ~size ~hp with
-     | Some w ->
-       Format.printf
-         "control frame (flow %d, size %d) under 5 interferers: WCRT = %d us@."
-         flow size w;
-       Format.printf "one-sample-delay assumption at h = 20 ms: %b@."
-         (w <= 20_000)
-     | None -> Format.printf "frame can be starved@.");
-    0
+let bus_info_run b =
+  Format.printf "%s@." (Bus.info b);
+  let size = Bus.control_frame_size b in
+  let flow = 6 in
+  let hp = List.init 5 (fun _ -> (2 * size, 5 * Bus.cycle_us b)) in
+  (match Bus.wcrt_us b ~flow ~size ~hp with
+   | Some w ->
+     Format.printf
+       "control frame (flow %d, size %d) under 5 interferers: WCRT = %d us@."
+       flow size w;
+     Format.printf "one-sample-delay assumption at h = 20 ms: %b@."
+       (w <= 20_000)
+   | None -> Format.printf "frame can be starved@.");
+  0
 
 let bus_list_run () =
   List.iter
     (fun backend ->
       Format.printf "%-10s %s@." (Bus.name backend)
         (Bus.info (Bus.default backend)))
-    Backends.all;
+    Cosim.Bus_check.backends;
   0
 
 (* ------------------------------------------------------------------ *)
@@ -832,10 +794,23 @@ let monitor_arg =
           "Check the trace against the verified guarantees (J*, T*_w, dwell \
            tables); any violation exits 2.")
 
+(* every built-in transport at its default configuration, by name; an
+   unknown name is a usage error listing the known ones.  Values print
+   by name because a configured backend holds functions, which the
+   enum's own printer would have to compare *)
+let bus_conv =
+  let named =
+    Arg.enum
+      (List.map (fun b -> (Bus.name b, Bus.default b)) Cosim.Bus_check.backends)
+  in
+  Arg.conv
+    ( Arg.conv_parser named,
+      fun ppf b -> Format.pp_print_string ppf (Bus.configured_name b) )
+
 let bus_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some bus_conv) None
     & info [ "bus" ] ~docv:"BACKEND"
         ~doc:
           "Replay the run's traffic on a transport backend (see 'cpsdim bus \
@@ -897,7 +872,7 @@ let sweep_cmd =
 let bus_name_arg =
   Arg.(
     value
-    & pos 0 string "flexray"
+    & pos 0 bus_conv Flexray.Backend.default
     & info [] ~docv:"BACKEND"
         ~doc:"Transport backend name (default flexray; see 'cpsdim bus list').")
 

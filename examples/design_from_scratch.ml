@@ -8,7 +8,7 @@
    4. derive the dwell-time tables and the scheduler-facing timing
       abstraction;
    5. check how many copies of the loop can share one TT slot, and
-      validate the ET one-sample-delay assumption on every registered
+      validate the ET one-sample-delay assumption on every built-in
       transport backend (FlexRay and TTW).
 
    Run with:  dune exec examples/design_from_scratch.exe *)
@@ -62,7 +62,7 @@ let () =
   Format.printf "copies sharing one TT slot: %d@.@." (List.length group);
 
   (* 6. is the one-sample ET delay assumption justified on the bus?
-     Every registered transport answers the same question through the
+     Every built-in transport answers the same question through the
      generic WCRT query: our flow, one control frame per sampling
      period, against one interferer of the same shape per group
      member. *)
@@ -83,4 +83,4 @@ let () =
            else "one-sample-delay design is NOT sound")
       | None ->
         Format.printf "ET frame can be starved on %s@." (Bus.info bus))
-    Backends.all
+    Cosim.Bus_check.backends

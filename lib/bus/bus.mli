@@ -1,7 +1,7 @@
 (** The transport seam: an abstract BUS signature that every network
-    backend (FlexRay today, Time-Triggered Wireless, ...) implements,
-    plus first-class backend values so callers pick the transport at
-    runtime.
+    backend ([Flexray.Backend], [Ttw.Backend]) implements on these
+    message types, plus first-class backend values so callers pick the
+    transport at runtime.
 
     The co-simulation layer talks about {e messages}: a message is
     either time-triggered — bound to a contention-free channel the
@@ -49,7 +49,7 @@ type loss = message -> attempt:int -> bool
 
 module type BACKEND = sig
   val name : string
-  (** registry key, e.g. ["flexray"] *)
+  (** the name [--bus] selects the backend by, e.g. ["flexray"] *)
 
   type config
 
@@ -78,7 +78,7 @@ module type BACKEND = sig
       its message queued for the next service opportunity.
       @raise Invalid_argument on malformed submissions: negative
       release, channel outside [0, tt_channels), flow ids < 1, or
-      sizes the segment can never carry. *)
+      sizes outside [1, et_capacity]. *)
 
   val wcrt_us : config -> flow:int -> size:int -> hp:(int * int) list -> int option
   (** Worst-case response time of an ET message of [flow]/[size] under

@@ -36,3 +36,14 @@ let t_w_max t = t.table.Dwell.t_w_max
 let pp ppf t =
   Format.fprintf ppf "@[<v>%s (J* = %d, r = %d)@,%a@]" t.name t.j_star t.r
     Dwell.pp t.table
+
+let pp_tables ppf t =
+  let row ppf a =
+    Format.fprintf ppf "[%s]"
+      (String.concat "," (Array.to_list (Array.map string_of_int a)))
+  in
+  let d = t.table in
+  Format.fprintf ppf
+    "%s: r=%d J*=%d | J_T=%d J_E=%d T*_w=%d@\n  T-_dw=%a@\n  T+_dw=%a" t.name
+    t.r t.j_star d.Dwell.jt d.Dwell.je d.Dwell.t_w_max row d.Dwell.t_dw_min row
+    d.Dwell.t_dw_max

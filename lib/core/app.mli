@@ -38,3 +38,8 @@ val spec : t -> id:int -> Sched.Appspec.t
 
 val t_w_max : t -> int
 val pp : Format.formatter -> t -> unit
+
+val pp_tables : Format.formatter -> t -> unit
+(** The dwell tables as three lines with no final newline: name, [r],
+    [J*], [J_T], [J_E] and [T*_w], then the [T-_dw] and [T+_dw] rows —
+    what [cpsdim tables] and serve's [dwell] answer print. *)

@@ -1,3 +1,6 @@
+let backends : Bus.backend list =
+  [ Flexray.Backend.backend; Ttw.Backend.backend ]
+
 type result = {
   backend : string;
   messages : int;

@@ -12,6 +12,11 @@
     effect (retransmission delay, undelivered messages) is accounted in
     the result. *)
 
+val backends : Bus.backend list
+(** Every built-in transport, the reference FlexRay first: the names
+    [--bus] accepts ("flexray", "ttw") and the backends the conformance
+    battery runs over. *)
+
 type result = {
   backend : string;  (** transport that carried the traffic *)
   messages : int;  (** messages offered to the bus *)

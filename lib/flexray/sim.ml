@@ -1,37 +1,25 @@
-type message = { frame : Frame.t; release_us : int }
-type delivery = { message : message; delivered_us : int; attempts : int }
-
-type outcome = {
-  deliveries : delivery list;
-  undelivered : (message * int) list;
-  lost_tx : int;
-}
-
-type drop = message -> attempt:int -> bool
-
-let delay_us d = d.delivered_us - d.message.release_us
-let no_drop _ ~attempt:_ = false
-
 (* one mutable job per submitted message: transmission attempts burned
    so far, and when (if ever) the message made it onto the bus *)
 type job = {
-  msg : message;
+  msg : Bus.message;
   mutable tries : int;
   mutable delivered_at : int option;
 }
 
-let simulate_outcome ?(drop = no_drop) config ~until_us messages =
-  List.iter
-    (fun m ->
-      if m.release_us < 0 then invalid_arg "Bus.simulate: negative release";
-      match m.frame with
-      | Frame.Static { slot } ->
-        if slot >= config.Config.static_slot_count then
-          invalid_arg "Bus.simulate: static slot out of range"
-      | Frame.Dynamic { length_minislots; _ } ->
-        if length_minislots > config.Config.minislot_count then
-          invalid_arg "Bus.simulate: dynamic frame exceeds the segment")
-    messages;
+let validate config (m : Bus.message) =
+  if m.Bus.release_us < 0 then invalid_arg "Sim.simulate: negative release";
+  match m.Bus.cls with
+  | Bus.Tt { channel } ->
+    if channel < 0 || channel >= config.Config.static_slot_count then
+      invalid_arg "Sim.simulate: static slot out of range"
+  | Bus.Et { flow; size } ->
+    if flow < 1 then invalid_arg "Sim.simulate: frame ids are 1-based";
+    if size < 1 then invalid_arg "Sim.simulate: empty frame";
+    if size > config.Config.minislot_count then
+      invalid_arg "Sim.simulate: dynamic frame exceeds the segment"
+
+let simulate ?(loss = Bus.loss_none) config ~until_us messages =
+  List.iter (validate config) messages;
   let jobs =
     List.map (fun m -> { msg = m; tries = 0; delivered_at = None }) messages
   in
@@ -42,14 +30,14 @@ let simulate_outcome ?(drop = no_drop) config ~until_us messages =
      hook, and either deliver or leave the job queued for the next one *)
   let attempt j ~finish =
     j.tries <- j.tries + 1;
-    if drop j.msg ~attempt:j.tries then begin
+    if loss j.msg ~attempt:j.tries then begin
       incr lost_tx;
       false
     end
     else begin
       j.delivered_at <- Some finish;
       deliveries :=
-        { message = j.msg; delivered_us = finish; attempts = j.tries }
+        { Bus.message = j.msg; delivered_us = finish; attempts = j.tries }
         :: !deliveries;
       true
     end
@@ -58,26 +46,26 @@ let simulate_outcome ?(drop = no_drop) config ~until_us messages =
   let static_queue = Hashtbl.create 8 in
   List.iter
     (fun j ->
-      match j.msg.frame with
-      | Frame.Static { slot } ->
+      match j.msg.Bus.cls with
+      | Bus.Tt { channel = slot } ->
         Hashtbl.replace static_queue slot
           (j :: Option.value ~default:[] (Hashtbl.find_opt static_queue slot))
-      | Frame.Dynamic _ -> ())
+      | Bus.Et _ -> ())
     jobs;
   Hashtbl.iter
     (fun slot q ->
       Hashtbl.replace static_queue slot
-        (List.sort (fun a b -> compare a.msg.release_us b.msg.release_us) q))
+        (List.sort
+           (fun a b -> compare a.msg.Bus.release_us b.msg.Bus.release_us)
+           q))
     static_queue;
   (* dynamic messages sorted by release *)
   let dynamic_jobs =
     List.filter
       (fun j ->
-        match j.msg.frame with
-        | Frame.Dynamic _ -> true
-        | Frame.Static _ -> false)
+        match j.msg.Bus.cls with Bus.Et _ -> true | Bus.Tt _ -> false)
       jobs
-    |> List.sort (fun a b -> compare a.msg.release_us b.msg.release_us)
+    |> List.sort (fun a b -> compare a.msg.Bus.release_us b.msg.Bus.release_us)
   in
   let dyn_waiting = ref [] (* (frame_id, length, job) pending *)
   and dyn_future = ref dynamic_jobs in
@@ -87,7 +75,7 @@ let simulate_outcome ?(drop = no_drop) config ~until_us messages =
     for slot = 0 to config.Config.static_slot_count - 1 do
       let slot_start = Config.static_slot_start config ~cycle ~slot in
       match Hashtbl.find_opt static_queue slot with
-      | Some (j :: rest) when j.msg.release_us <= slot_start ->
+      | Some (j :: rest) when j.msg.Bus.release_us <= slot_start ->
         if attempt j ~finish:(slot_start + config.Config.static_slot_us) then
           Hashtbl.replace static_queue slot rest
       | Some _ | None -> ()
@@ -95,21 +83,22 @@ let simulate_outcome ?(drop = no_drop) config ~until_us messages =
     (* dynamic segment: admit messages released before it starts *)
     let dyn_start = cycle_start + Config.static_us config in
     let admitted, still_future =
-      List.partition (fun j -> j.msg.release_us <= dyn_start) !dyn_future
+      List.partition (fun j -> j.msg.Bus.release_us <= dyn_start) !dyn_future
     in
     dyn_future := still_future;
     List.iter
       (fun j ->
-        match j.msg.frame with
-        | Frame.Dynamic { frame_id; length_minislots } ->
+        match j.msg.Bus.cls with
+        | Bus.Et { flow = frame_id; size = length_minislots } ->
           dyn_waiting := (frame_id, length_minislots, j) :: !dyn_waiting
-        | Frame.Static _ -> assert false)
+        | Bus.Tt _ -> assert false)
       admitted;
     (* one frame id transmits at most one message per cycle: offer the
        oldest pending message of each id to the arbitration *)
     let oldest_per_id =
       List.sort
-        (fun (_, _, a) (_, _, b) -> compare a.msg.release_us b.msg.release_us)
+        (fun (_, _, a) (_, _, b) ->
+          compare a.msg.Bus.release_us b.msg.Bus.release_us)
         !dyn_waiting
       |> List.fold_left
            (fun acc ((id, _, _) as entry) ->
@@ -147,14 +136,13 @@ let simulate_outcome ?(drop = no_drop) config ~until_us messages =
     match j.delivered_at with Some t -> t <= until_us | None -> false
   in
   {
-    deliveries =
-      List.filter (fun d -> d.delivered_us <= until_us) (List.rev !deliveries);
+    Bus.deliveries =
+      List.filter
+        (fun d -> d.Bus.delivered_us <= until_us)
+        (List.rev !deliveries);
     undelivered =
       List.filter_map
         (fun j -> if delivered_in_time j then None else Some (j.msg, j.tries))
         jobs;
     lost_tx = !lost_tx;
   }
-
-let simulate config ~until_us messages =
-  (simulate_outcome config ~until_us messages).deliveries

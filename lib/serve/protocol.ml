@@ -142,13 +142,7 @@ type group_answer = {
   provenance : [ `Screen | `Mem | `Disk | `Miss ];
 }
 
-let digest s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
+let digest = Store.fnv64
 
 let verdict_name : Core.Mapping.verdict -> string = function
   | `Safe -> "safe"

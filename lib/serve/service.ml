@@ -7,6 +7,13 @@ type t = {
   mutable engine_runs : int;
 }
 
+(* a case-study application, its dwell tables through [dcache] *)
+let case_app dcache ?j_star (a : Casestudy.app) =
+  Core.App.make ~cache:dcache ~name:a.Casestudy.name ~plant:a.Casestudy.plant
+    ~gains:a.Casestudy.gains ~r:a.Casestudy.r
+    ~j_star:(Option.value ~default:a.Casestudy.j_star j_star)
+    ()
+
 let create ?pcache () =
   let mcache =
     match pcache with
@@ -18,15 +25,7 @@ let create ?pcache () =
     | Some pc -> Core.Pcache.dwell_cache pc
     | None -> Core.Dwell.create_cache ()
   in
-  let case_apps =
-    lazy
-      (List.map
-         (fun (a : Casestudy.app) ->
-           Core.App.make ~cache:dcache ~name:a.Casestudy.name
-             ~plant:a.Casestudy.plant ~gains:a.Casestudy.gains ~r:a.Casestudy.r
-             ~j_star:a.Casestudy.j_star ())
-         Casestudy.all)
-  in
+  let case_apps = lazy (List.map (case_app dcache) Casestudy.all) in
   {
     mcache;
     dcache;
@@ -50,11 +49,7 @@ let case_spec t ~name ?j_star () =
       (Printf.sprintf "unknown application %S (case study provides C1..C6)" name)
   | a -> (
     let j_star = Option.value ~default:a.Casestudy.j_star j_star in
-    match
-      Core.App.make ~cache:t.dcache ~name:a.Casestudy.name
-        ~plant:a.Casestudy.plant ~gains:a.Casestudy.gains ~r:a.Casestudy.r
-        ~j_star ()
-    with
+    match case_app t.dcache ~j_star a with
     | app -> Ok (Core.App.spec app ~id:0)
     | exception Core.Dwell.Infeasible m ->
       Error (Printf.sprintf "%s at J*=%d: infeasible: %s" name j_star m)
@@ -102,6 +97,18 @@ let emit_request ~kind ~groups ~engine ~mem ~disk =
       ("mem", Obs.Event.Int mem);
       ("disk", Obs.Event.Int disk);
     ]
+
+(* run [f] and count where its lookups in [cache] were answered: by the
+   engine, the in-memory table or the store — three disjoint counters *)
+let with_traffic cache f =
+  let engine0 = Par.Vcache.misses cache
+  and mem0 = Par.Vcache.hits cache
+  and disk0 = Par.Vcache.disk_hits cache in
+  let r = f () in
+  ( r,
+    Par.Vcache.misses cache - engine0,
+    Par.Vcache.hits cache - mem0,
+    Par.Vcache.disk_hits cache - disk0 )
 
 let account t ~kind ~groups ~engine ~mem ~disk =
   t.engine_runs <- t.engine_runs + engine;
@@ -168,28 +175,20 @@ let strip_final_newline s =
 
 let handle_map t ~id ~optimal =
   let apps = Lazy.force t.case_apps in
-  let hits0 = Par.Vcache.hits t.mcache
-  and disk0 = Par.Vcache.disk_hits t.mcache
-  and miss0 = Par.Vcache.misses t.mcache in
-  let outcome =
-    if optimal then Core.Mapping.optimal ~cache:t.mcache apps
-    else Core.Mapping.first_fit ~cache:t.mcache apps
+  let outcome, engine, mem, disk =
+    with_traffic t.mcache (fun () ->
+        if optimal then Core.Mapping.optimal ~cache:t.mcache apps
+        else Core.Mapping.first_fit ~cache:t.mcache apps)
   in
   (* the mappers' analytic screen answers some groups before the cache,
      so these deltas undercount "groups asked" — they count exactly the
      cache traffic, which is what the incremental story is about *)
-  account t ~kind:"map" ~groups:outcome.Core.Mapping.verifications
-    ~engine:(Par.Vcache.misses t.mcache - miss0)
-    ~mem:(Par.Vcache.hits t.mcache - hits0 - (Par.Vcache.disk_hits t.mcache - disk0))
-    ~disk:(Par.Vcache.disk_hits t.mcache - disk0);
+  account t ~kind:"map" ~groups:outcome.Core.Mapping.verifications ~engine
+    ~mem ~disk;
   let output =
     strip_final_newline (Format.asprintf "%a" Core.Mapping.pp outcome)
   in
   Protocol.simple_response ~id ~kind:"map" ~output
-
-let pp_int_array ppf a =
-  Format.fprintf ppf "[%s]"
-    (String.concat "," (Array.to_list (Array.map string_of_int a)))
 
 let handle_dwell t ~id ~app ~j_star =
   match Casestudy.find app with
@@ -198,39 +197,18 @@ let handle_dwell t ~id ~app ~j_star =
       (Printf.sprintf "unknown application %S (case study provides C1..C6)" app)
   | a -> (
     let j_star = Option.value ~default:a.Casestudy.j_star j_star in
-    let miss0 = Par.Vcache.misses t.dcache
-    and hits0 = Par.Vcache.hits t.dcache
-    and disk0 = Par.Vcache.disk_hits t.dcache in
-    match
-      Core.App.make ~cache:t.dcache ~name:a.Casestudy.name
-        ~plant:a.Casestudy.plant ~gains:a.Casestudy.gains ~r:a.Casestudy.r
-        ~j_star ()
-    with
+    match with_traffic t.dcache (fun () -> case_app t.dcache ~j_star a) with
     | exception Core.Dwell.Infeasible m ->
       Protocol.error_response ~id
         (Printf.sprintf "%s at J*=%d: infeasible: %s" app j_star m)
     | exception Invalid_argument m ->
       Protocol.error_response ~id (Printf.sprintf "%s at J*=%d: %s" app j_star m)
-    | capp ->
-      account t ~kind:"dwell" ~groups:1
-        ~engine:(Par.Vcache.misses t.dcache - miss0)
-        ~mem:
-          (Par.Vcache.hits t.dcache - hits0
-          - (Par.Vcache.disk_hits t.dcache - disk0))
-        ~disk:(Par.Vcache.disk_hits t.dcache - disk0);
-      let tbl = capp.Core.App.table in
-      (* the exact line format of `cpsdim tables`, so the two outputs
-         diff clean in CI *)
-      let output =
-        strip_final_newline
-          (Format.asprintf
-             "%s: r=%d J*=%d | J_T=%d J_E=%d T*_w=%d@.  T-_dw=%a@.  T+_dw=%a@."
-             capp.Core.App.name capp.Core.App.r capp.Core.App.j_star
-             tbl.Core.Dwell.jt tbl.Core.Dwell.je tbl.Core.Dwell.t_w_max
-             pp_int_array tbl.Core.Dwell.t_dw_min pp_int_array
-             tbl.Core.Dwell.t_dw_max)
-      in
-      Protocol.simple_response ~id ~kind:"dwell" ~output)
+    | capp, engine, mem, disk ->
+      account t ~kind:"dwell" ~groups:1 ~engine ~mem ~disk;
+      (* the same printer as `cpsdim tables`, so the two outputs diff
+         clean in CI *)
+      Protocol.simple_response ~id ~kind:"dwell"
+        ~output:(Format.asprintf "%a" Core.App.pp_tables capp))
 
 (* ------------------------------------------------------------------ *)
 

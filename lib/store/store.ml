@@ -29,13 +29,17 @@ let header salt = Printf.sprintf "%s %d %s\n" magic format_version salt
 
 (* FNV-1a 64-bit, hex-printed: cheap, stable across platforms, and
    plenty to detect torn or bit-flipped records (not an integrity
-   guarantee against an adversary — the store is a local cache). *)
+   guarantee against an adversary — the store is a local cache).  A
+   loop over a local ref keeps the accumulator unboxed; a closure
+   capturing it would box an Int64 per byte. *)
 let fnv64 s =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun ch ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code s.[i])))
+        0x100000001b3L
+  done;
   Printf.sprintf "%016Lx" !h
 
 let record key value =

@@ -49,6 +49,11 @@ type stats = {
 
 val format_version : int
 
+val fnv64 : string -> string
+(** 64-bit FNV-1a of the bytes as 16 lower-case hex digits: the record
+    checksum (it detects torn or bit-flipped records, it is no defence
+    against an adversary). *)
+
 val open_ : path:string -> salt:string -> (t, string) result
 (** Open (creating if missing) the store at [path] under [salt].
     [Error] when the file exists but is not a store, on IO failure, or

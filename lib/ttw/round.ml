@@ -19,10 +19,11 @@ let validate config (m : Bus.message) =
   if m.Bus.release_us < 0 then invalid_arg "Ttw: negative release";
   match m.Bus.cls with
   | Bus.Tt { channel } ->
-    if channel >= config.Config.tt_channels then
+    if channel < 0 || channel >= config.Config.tt_channels then
       invalid_arg "Ttw: TT channel out of range"
   | Bus.Et { flow; size } ->
     if flow < 1 then invalid_arg "Ttw: ET flow ids are 1-based";
+    if size < 1 then invalid_arg "Ttw: empty frame";
     if size > Config.et_slots config then
       invalid_arg "Ttw: frame exceeds the contended segment"
 

@@ -10,4 +10,5 @@ val simulate :
   Bus.message list ->
   Bus.outcome
 (** @raise Invalid_argument on negative releases, TT channels outside
-    the reservation, or ET frames larger than the contended segment. *)
+    the reservation, flow ids below 1, empty ET frames, or ET frames
+    larger than the contended segment. *)

@@ -1,9 +1,9 @@
-(* Conformance battery for transport backends: every registered
+(* Conformance battery for transport backends: every built-in
    Bus.BACKEND must deliver the same contract — deterministic TT
    delays, ET delays monotone in contention, loss accounting that
    balances to the attempt counts, and Invalid_argument on malformed
-   submissions.  The flexray adapter is additionally pinned against the
-   raw simulator and against the seed's cosim replay numbers. *)
+   submissions.  FlexRay is additionally pinned against the seed's
+   cosim replay numbers. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -18,7 +18,8 @@ let raises f =
    it (flexray 2 ms, ttw 2.5 ms), which the TT determinism fact needs *)
 let h_us = 20_000
 
-let each f = List.iter (fun backend -> f (Bus.default backend)) Backends.all
+let each f =
+  List.iter (fun backend -> f (Bus.default backend)) Cosim.Bus_check.backends
 
 (* destroyed transmissions must balance against the attempt counts:
    a delivery with a attempts burned a-1, an undelivered job burned all
@@ -39,10 +40,8 @@ let loss_invariant name (o : Bus.outcome) =
 (* Registry *)
 
 let test_registry () =
-  Alcotest.(check (list string)) "names" [ "flexray"; "ttw" ] (Backends.names ());
-  check_bool "find ttw" true (Option.is_some (Backends.find "ttw"));
-  check_bool "unknown is None" true (Option.is_none (Backends.find "canbus"));
-  check_bool "get unknown raises" true (raises (fun () -> Backends.get "canbus"));
+  Alcotest.(check (list string)) "names" [ "flexray"; "ttw" ]
+    (List.map Bus.name Cosim.Bus_check.backends);
   each (fun bus ->
       let name = Bus.configured_name bus in
       check_bool (name ^ ": cycle divides h") true (h_us mod Bus.cycle_us bus = 0);
@@ -72,12 +71,28 @@ let test_tt_determinism () =
           rest)
 
 (* ------------------------------------------------------------------ *)
-(* ET contention: the worst delay never improves when a flow is added *)
+(* ET contention: the worst delay never improves when a flow is added,
+   and each flow lands within the backend's WCRT bound with the
+   lower-id flows as its interferers *)
 
 let test_et_monotone_contention () =
   each (fun bus ->
       let name = Bus.configured_name bus in
       let size = Bus.control_frame_size bus in
+      let within_wcrt (d : Bus.delivery) =
+        match d.Bus.message.Bus.cls with
+        | Bus.Tt _ -> Alcotest.fail "no TT traffic was submitted"
+        | Bus.Et { flow; _ } -> (
+          let hp = List.init (flow - 1) (fun _ -> (size, h_us)) in
+          match Bus.wcrt_us bus ~flow ~size ~hp with
+          | Some w ->
+            check_bool
+              (Printf.sprintf "%s: flow %d delay %d <= WCRT %d" name flow
+                 (Bus.delay_us d) w)
+              true
+              (Bus.delay_us d <= w)
+          | None -> Alcotest.failf "%s: flow %d starved" name flow)
+      in
       let worst m =
         let msgs =
           List.init m (fun i -> Bus.et ~size ~flow:(i + 1) ~release_us:0 ())
@@ -87,6 +102,7 @@ let test_et_monotone_contention () =
           (Printf.sprintf "%s: %d contenders all delivered" name m)
           m
           (List.length o.Bus.deliveries);
+        List.iter within_wcrt o.Bus.deliveries;
         List.fold_left
           (fun acc d -> Int.max acc (Bus.delay_us d))
           0 o.Bus.deliveries
@@ -180,6 +196,8 @@ let test_malformed () =
       let sim msgs () = Bus.simulate bus ~until_us:h_us msgs in
       check_bool (name ^ ": negative release") true
         (raises (sim [ { Bus.cls = Bus.Tt { channel = 0 }; release_us = -1 } ]));
+      check_bool (name ^ ": negative channel") true
+        (raises (sim [ { Bus.cls = Bus.Tt { channel = -1 }; release_us = 0 } ]));
       check_bool (name ^ ": channel out of range") true
         (raises
            (sim
@@ -199,57 +217,13 @@ let test_malformed () =
                 };
               ]));
       check_bool (name ^ ": ET flow ids are 1-based") true
-        (raises (sim [ { Bus.cls = Bus.Et { flow = 0; size = 1 }; release_us = 0 } ])));
+        (raises (sim [ { Bus.cls = Bus.Et { flow = 0; size = 1 }; release_us = 0 } ]));
+      check_bool (name ^ ": empty ET frame") true
+        (raises (sim [ { Bus.cls = Bus.Et { flow = 1; size = 0 }; release_us = 0 } ])));
   check_bool "constructor: negative channel" true
     (raises (fun () -> Bus.tt ~channel:(-1) ~release_us:0));
   check_bool "constructor: empty frame" true
     (raises (fun () -> Bus.et ~size:0 ~flow:1 ~release_us:0 ()))
-
-(* ------------------------------------------------------------------ *)
-(* The flexray adapter against the raw simulator: the mapping is a
-   bijection, so deliveries must agree field for field *)
-
-let test_flexray_adapter_differential () =
-  let cfg =
-    Flexray.Config.make ~static_slot_count:4 ~static_slot_us:50
-      ~minislot_count:40 ~minislot_us:2
-  in
-  let bus = Backends.Flexray_backend.configured cfg in
-  let generic =
-    [
-      Bus.tt ~channel:1 ~release_us:0;
-      Bus.tt ~channel:1 ~release_us:700;
-      Bus.et ~size:6 ~flow:1 ~release_us:0 ();
-      Bus.et ~size:9 ~flow:2 ~release_us:10 ();
-      Bus.et ~size:6 ~flow:1 ~release_us:500 ();
-    ]
-  in
-  let direct =
-    List.map
-      (fun (m : Bus.message) ->
-        {
-          Flexray.Bus.frame =
-            (match m.Bus.cls with
-             | Bus.Tt { channel } -> Flexray.Frame.static ~slot:channel
-             | Bus.Et { flow; size } ->
-               Flexray.Frame.dynamic ~frame_id:flow ~length_minislots:size);
-          release_us = m.Bus.release_us;
-        })
-      generic
-  in
-  let o = Bus.simulate bus ~until_us:3000 generic in
-  let d = Flexray.Bus.simulate_outcome cfg ~until_us:3000 direct in
-  check_int "same delivery count"
-    (List.length d.Flexray.Bus.deliveries)
-    (List.length o.Bus.deliveries);
-  check_int "same losses" d.Flexray.Bus.lost_tx o.Bus.lost_tx;
-  List.iter2
-    (fun (g : Bus.delivery) (f : Flexray.Bus.delivery) ->
-      check_int "delivered_us" f.Flexray.Bus.delivered_us g.Bus.delivered_us;
-      check_int "attempts" f.Flexray.Bus.attempts g.Bus.attempts;
-      check_int "release_us" f.Flexray.Bus.message.Flexray.Bus.release_us
-        g.Bus.message.Bus.release_us)
-    o.Bus.deliveries d.Flexray.Bus.deliveries
 
 (* ------------------------------------------------------------------ *)
 (* Pin: the nominal case-study replay on flexray is byte-identical to
@@ -270,9 +244,7 @@ let test_cosim_flexray_pin () =
       ~disturbances:[ (0, "C1"); (0, "C6"); (40, "C2") ]
       ~horizon:120
   in
-  let r =
-    Cosim.System.bus_validate ~bus:Backends.Flexray_backend.default report
-  in
+  let r = Cosim.System.bus_validate ~bus:Flexray.Backend.default report in
   Alcotest.(check string) "backend" "flexray" r.Cosim.Bus_check.backend;
   check_int "messages" 720 r.Cosim.Bus_check.messages;
   check_int "delivered" 720 r.Cosim.Bus_check.delivered;
@@ -362,7 +334,7 @@ let test_burst_campaign_deterministic () =
        certain.Cosim.Campaign.slots baseline.Cosim.Campaign.slots)
 
 (* ------------------------------------------------------------------ *)
-(* TTW specifics: retransmission across rounds, flow dimensioning *)
+(* TTW specifics: retransmission across rounds *)
 
 let test_ttw_retransmission () =
   let bus = Ttw.Backend.default in
@@ -377,17 +349,6 @@ let test_ttw_retransmission () =
     check_bool "at least two rounds late" true
       (Bus.delay_us d >= 2 * Bus.cycle_us bus)
   | ds -> Alcotest.failf "expected one delivery, got %d" (List.length ds)
-
-let test_ttw_flow_check () =
-  let cfg = Ttw.Config.default in
-  let flows =
-    List.init 4 (fun i ->
-        Ttw.Flow.make ~flow:(i + 1) ~size:2 ~period_us:20_000
-          ~deadline_us:20_000)
-  in
-  check_bool "all meet" true (Ttw.Flow.all_meet cfg flows);
-  check_bool "duplicate ids rejected" true
-    (raises (fun () -> Ttw.Flow.check cfg (flows @ flows)))
 
 let () =
   Alcotest.run "bus"
@@ -411,8 +372,6 @@ let () =
         ] );
       ( "flexray",
         [
-          Alcotest.test_case "adapter = raw simulator" `Quick
-            test_flexray_adapter_differential;
           Alcotest.test_case "case-study replay pinned to seed" `Slow
             test_cosim_flexray_pin;
         ] );
@@ -422,6 +381,5 @@ let () =
             test_ttw_retransmission;
           Alcotest.test_case "burst campaign deterministic" `Quick
             test_burst_campaign_deterministic;
-          Alcotest.test_case "flow dimensioning" `Quick test_ttw_flow_check;
         ] );
     ]

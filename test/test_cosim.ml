@@ -209,7 +209,7 @@ let test_bus_check_facts_hold () =
       ~horizon:60 ()
   in
   let r =
-    Cosim.System.bus_validate ~bus:Backends.Flexray_backend.default report
+    Cosim.System.bus_validate ~bus:Flexray.Backend.default report
   in
   check_bool "all delivered" true r.Cosim.Bus_check.all_delivered;
   check_bool "TT deterministic" true r.Cosim.Bus_check.tt_deterministic;
@@ -225,7 +225,7 @@ let test_bus_check_validation () =
     Cosim.System.run ~slots:[ [ a ] ] ~disturbances:[] ~horizon:5 ()
   in
   let tiny =
-    Backends.Flexray_backend.configured
+    Flexray.Backend.configured
       (Flexray.Config.make ~static_slot_count:1 ~static_slot_us:10
          ~minislot_count:4 ~minislot_us:2)
   in

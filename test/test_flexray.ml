@@ -1,5 +1,6 @@
 (* Tests for the FlexRay substrate: configuration, dynamic-segment
-   arbitration, the cycle simulator, and the WCRT analysis. *)
+   arbitration, the cycle simulator over generic bus messages, and the
+   WCRT analysis. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -28,17 +29,6 @@ let test_config_validation () =
   check_bool "bad slot index" true
     (raises (fun () ->
          ignore (Flexray.Config.static_slot_start cfg ~cycle:0 ~slot:4)))
-
-(* ------------------------------------------------------------------ *)
-(* Frames *)
-
-let test_frame_constructors () =
-  let raises f = try f (); false with Invalid_argument _ -> true in
-  check_bool "bad id" true
-    (raises (fun () -> ignore (Flexray.Frame.dynamic ~frame_id:0 ~length_minislots:1)));
-  check_bool "priority order" true
-    (Flexray.Frame.priority (Flexray.Frame.static ~slot:0)
-     < Flexray.Frame.priority (Flexray.Frame.dynamic ~frame_id:1 ~length_minislots:1))
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic segment arbitration *)
@@ -86,50 +76,54 @@ let test_arbitrate_validation () =
 (* ------------------------------------------------------------------ *)
 (* Bus simulation *)
 
+let deliveries ~until_us msgs =
+  (Flexray.Sim.simulate cfg ~until_us msgs).Bus.deliveries
+
+(* the delivery of ET flow (frame id) [id] *)
+let of_flow id ds =
+  List.find
+    (fun (d : Bus.delivery) ->
+      match d.Bus.message.Bus.cls with
+      | Bus.Et { flow; _ } -> flow = id
+      | Bus.Tt _ -> false)
+    ds
+
 let test_static_deterministic_delay () =
-  let msg = { Flexray.Bus.frame = Flexray.Frame.static ~slot:2; release_us = 10 } in
-  match Flexray.Bus.simulate cfg ~until_us:1000 [ msg ] with
+  match deliveries ~until_us:1000 [ Bus.tt ~channel:2 ~release_us:10 ] with
   | [ d ] ->
     (* slot 2 starts at 100 in cycle 0; release 10 <= 100, delivered at
        slot end 150 *)
-    check_int "delivered" 150 d.Flexray.Bus.delivered_us;
-    check_int "delay" 140 (Flexray.Bus.delay_us d)
+    check_int "delivered" 150 d.Bus.delivered_us;
+    check_int "delay" 140 (Bus.delay_us d)
   | _ -> Alcotest.fail "expected one delivery"
 
 let test_static_misses_slot_waits_cycle () =
-  let msg = { Flexray.Bus.frame = Flexray.Frame.static ~slot:0; release_us = 10 } in
-  match Flexray.Bus.simulate cfg ~until_us:1000 [ msg ] with
+  match deliveries ~until_us:1000 [ Bus.tt ~channel:0 ~release_us:10 ] with
   | [ d ] ->
     (* slot 0 of cycle 0 started at 0 (before release): wait for cycle 1 *)
-    check_int "next cycle" (240 + 50) d.Flexray.Bus.delivered_us
+    check_int "next cycle" (240 + 50) d.Bus.delivered_us
   | _ -> Alcotest.fail "expected one delivery"
 
 let test_dynamic_delivery_and_contention () =
-  let m1 = { Flexray.Bus.frame = Flexray.Frame.dynamic ~frame_id:1 ~length_minislots:18; release_us = 0 } in
-  let m2 = { Flexray.Bus.frame = Flexray.Frame.dynamic ~frame_id:2 ~length_minislots:5; release_us = 0 } in
-  let ds = Flexray.Bus.simulate cfg ~until_us:2000 [ m1; m2 ] in
+  let m1 = Bus.et ~size:18 ~flow:1 ~release_us:0 () in
+  let m2 = Bus.et ~size:5 ~flow:2 ~release_us:0 () in
+  let ds = deliveries ~until_us:2000 [ m1; m2 ] in
   check_int "both delivered" 2 (List.length ds);
-  let find id =
-    List.find
-      (fun d ->
-        match d.Flexray.Bus.message.Flexray.Bus.frame with
-        | Flexray.Frame.Dynamic { frame_id; _ } -> frame_id = id
-        | Flexray.Frame.Static _ -> false)
-      ds
-  in
   (* frame 1 fills 18 of 20 minislots in cycle 0; frame 2 cannot fit
      and goes in cycle 1 *)
-  check_int "f1 in cycle 0" (200 + 36) (find 1).Flexray.Bus.delivered_us;
-  check_bool "f2 in cycle 1" true ((find 2).Flexray.Bus.delivered_us > 240)
+  check_int "f1 in cycle 0" (200 + 36) (of_flow 1 ds).Bus.delivered_us;
+  check_bool "f2 in cycle 1" true ((of_flow 2 ds).Bus.delivered_us > 240)
 
 let test_dynamic_fifo_per_id () =
   (* two messages on the same id: oldest first, one per cycle *)
-  let m k =
-    { Flexray.Bus.frame = Flexray.Frame.dynamic ~frame_id:1 ~length_minislots:3;
-      release_us = k }
-  in
-  let ds = Flexray.Bus.simulate cfg ~until_us:2000 [ m 5; m 0 ] in
-  match List.map (fun d -> (d.Flexray.Bus.message.Flexray.Bus.release_us, d.Flexray.Bus.delivered_us)) ds with
+  let m k = Bus.et ~size:3 ~flow:1 ~release_us:k () in
+  let ds = deliveries ~until_us:2000 [ m 5; m 0 ] in
+  match
+    List.map
+      (fun (d : Bus.delivery) ->
+        (d.Bus.message.Bus.release_us, d.Bus.delivered_us))
+      ds
+  with
   | [ (0, t1); (5, t2) ] ->
     check_bool "ordered" true (t1 < t2);
     check_bool "different cycles" true (t2 - t1 >= 240 - 6)
@@ -163,28 +157,11 @@ let test_wcrt_bound_is_upper_bound_on_sim () =
    | Some w ->
      (* adversarial release: hp released every 2 cycles on id 1, our
         frame released right after a dynamic segment start *)
-     let mk_hp k =
-       { Flexray.Bus.frame = Flexray.Frame.dynamic ~frame_id:1 ~length_minislots:12;
-         release_us = k * 480 }
-     in
-     let own =
-       { Flexray.Bus.frame = Flexray.Frame.dynamic ~frame_id:2 ~length_minislots:10;
-         release_us = 201 }
-     in
-     let ds =
-       Flexray.Bus.simulate cfg ~until_us:10_000
-         (own :: List.init 10 mk_hp)
-     in
-     let own_delivery =
-       List.find
-         (fun d ->
-           match d.Flexray.Bus.message.Flexray.Bus.frame with
-           | Flexray.Frame.Dynamic { frame_id; _ } -> frame_id = 2
-           | Flexray.Frame.Static _ -> false)
-         ds
-     in
+     let mk_hp k = Bus.et ~size:12 ~flow:1 ~release_us:(k * 480) () in
+     let own = Bus.et ~size:10 ~flow:2 ~release_us:201 () in
+     let ds = deliveries ~until_us:10_000 (own :: List.init 10 mk_hp) in
      check_bool "bound covers simulation" true
-       (Flexray.Bus.delay_us own_delivery <= w))
+       (Bus.delay_us (of_flow 2 ds) <= w))
 
 let test_one_sample_assumption () =
   (* the paper's design point: ET worst case within one 20 ms period *)
@@ -265,7 +242,6 @@ let () =
           Alcotest.test_case "arithmetic" `Quick test_config_arithmetic;
           Alcotest.test_case "validation" `Quick test_config_validation;
         ] );
-      ("frame", [ Alcotest.test_case "constructors" `Quick test_frame_constructors ]);
       ( "dynamic segment",
         [
           Alcotest.test_case "priority order" `Quick test_arbitrate_priority_order;

@@ -146,6 +146,73 @@ let test_verify_incremental () =
   checki "requests counted" 3 (Serve.Service.requests svc)
 
 (* ------------------------------------------------------------------ *)
+(* cache accounting across processes: a service opened on a store that
+   an earlier one filled answers map and dwell from disk, reports those
+   answers under "disk" (never as negative "mem") and counts them as
+   incremental skips *)
+
+(* [handle_line], returning the engine/mem/disk fields of the request's
+   serve.request event *)
+let handle_counted svc line =
+  ignore (Obs.Event.drain ());
+  let response, _ = Serve.Service.handle_line svc line in
+  checkb "ok" true (ok_of (parse_response response));
+  match
+    List.filter
+      (fun (e : Obs.Event.t) -> e.Obs.Event.name = "serve.request")
+      (Obs.Event.drain ())
+  with
+  | [ e ] ->
+    let int key =
+      match List.assoc_opt key e.Obs.Event.fields with
+      | Some (Obs.Event.Int n) -> n
+      | _ -> Alcotest.failf "serve.request lacks %S" key
+    in
+    (int "engine", int "mem", int "disk")
+  | evs -> Alcotest.failf "%d serve.request events" (List.length evs)
+
+let test_store_accounting () =
+  let path = Filename.temp_file "cpsdim-serve" ".store" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Event.reset ();
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; path ^ ".lock" ])
+  @@ fun () ->
+  Obs.Event.enable ();
+  let with_service f =
+    match Core.Pcache.open_ ~path with
+    | Error m -> Alcotest.fail m
+    | Ok pc ->
+      Fun.protect
+        ~finally:(fun () -> Core.Pcache.close pc)
+        (fun () -> f (Serve.Service.create ~pcache:pc ()))
+  in
+  let map = "{\"id\":1,\"kind\":\"map\"}"
+  and dwell = "{\"id\":2,\"kind\":\"dwell\",\"app\":\"C1\"}" in
+  let cold_engine =
+    with_service @@ fun svc ->
+    let engine, mem, disk = handle_counted svc map in
+    checkb "cold map runs the engine" true (engine > 0);
+    checki "cold map: nothing in memory" 0 mem;
+    checki "cold map: nothing on disk" 0 disk;
+    engine
+  in
+  with_service @@ fun svc ->
+  let engine, mem, disk = handle_counted svc dwell in
+  checki "warm dwell: no computation" 0 engine;
+  checki "warm dwell: not from memory" 0 mem;
+  checki "warm dwell: from the store" 1 disk;
+  let engine, mem, disk = handle_counted svc map in
+  checki "warm map: no engine run" 0 engine;
+  checki "warm map: not from memory" 0 mem;
+  checki "warm map: every cached group from the store" cold_engine disk;
+  checki "store answers count as skips" (1 + cold_engine)
+    (Serve.Service.incremental_skips svc)
+
+(* ------------------------------------------------------------------ *)
 (* robustness: every bad line gets a structured error, service stays up *)
 
 let test_robustness () =
@@ -283,6 +350,8 @@ let () =
       ( "service",
         [
           Alcotest.test_case "incremental verify" `Quick test_verify_incremental;
+          Alcotest.test_case "store answers counted as disk" `Quick
+            test_store_accounting;
           Alcotest.test_case "robust against bad input" `Quick test_robustness;
           Alcotest.test_case "byte-identical at jobs 1/2/4" `Quick
             test_jobs_identical;

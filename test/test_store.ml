@@ -47,6 +47,18 @@ let hostile =
     ("empty value", "");
   ]
 
+(* the published FNV-1a-64 test vectors: the checksum of every record
+   an existing store holds, so a changed hash would drop them all as
+   damaged *)
+let test_fnv64_vectors () =
+  List.iter
+    (fun (input, digest) -> check_string input digest (Store.fnv64 input))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ]
+
 let test_store_roundtrip () =
   with_store @@ fun path ->
   let s = open_exn ~path ~salt:"s1" in
@@ -550,6 +562,8 @@ let () =
     [
       ( "store",
         [
+          Alcotest.test_case "FNV-1a-64 test vectors" `Quick
+            test_fnv64_vectors;
           Alcotest.test_case "round-trip hostile bytes + reopen" `Quick
             test_store_roundtrip;
           Alcotest.test_case "first write wins" `Quick
