@@ -106,6 +106,60 @@ let test_c6_exact () =
   check_bool "T-dw exact" true (t.Core.Dwell.t_dw_min = p.Casestudy.p_t_dw_min);
   check_bool "T+dw exact" true (t.Core.Dwell.t_dw_max = p.Casestudy.p_t_dw_max)
 
+(* Every field of every table, j_at_min/j_at_max included (`cpsdim
+   tables` prints neither), pinned through its serialisation, with the
+   baseline's (w_star, c_occ) read from the same simulations. *)
+let pinned =
+  [
+    ( "C1",
+      "v2 18 9 35 11 1 | 3*1,4*1,3*7,4*2,5*1 | 6*2,5*3,6*1,5*2,4*2,5*2 | \
+       18*1,14*1,17*1,18*1,17*1,18*4,17*1,18*2 | \
+       9*1,10*1,11*1,12*1,13*2,14*1,15*1,16*1,17*2,18*1",
+      (11, 9) );
+    ( "C2",
+      "v2 25 15 50 13 1 | \
+       7*2,6*1,7*1,6*1,7*1,6*1,7*1,6*1,7*1,6*1,7*2,8*1 | \
+       9*3,10*1,8*1,9*2,10*1,8*2,9*1,8*1,7*1,8*1 | \
+       21*1,22*1,24*1,21*1,23*1,22*1,24*1,23*1,24*1,23*1,25*2,24*1,25*1 | \
+       15*1,16*2,17*1,18*1,19*2,20*1,21*1,22*2,24*2,25*1",
+      (13, 15) );
+    ( "C3",
+      "v2 20 11 29 15 1 | 4*1,5*1,4*14 | 9*2,8*2,7*3,6*3,5*3,4*3 | \
+       20*1,18*1,20*11,19*1,20*2 | \
+       10*1,11*1,12*2,13*1,14*2,15*1,16*2,17*1,18*2,19*1,20*2",
+      (14, 11) );
+    ( "C4",
+      "v2 19 10 31 12 1 | 5*2,6*1,5*10 | 9*1,8*4,7*4,6*3,5*1 | \
+       19*2,17*1,19*10 | 10*1,11*1,12*2,13*1,14*1,15*2,16*1,17*1,18*2,19*1",
+      (12, 10) );
+    ( "C5",
+      "v2 18 10 25 12 1 | 4*1,3*7,4*5 | \
+       9*1,8*1,7*1,8*1,7*1,6*1,7*1,6*1,5*2,4*3 | 17*1,18*7,17*3,18*2 | \
+       10*1,11*1,12*2,13*1,14*2,15*1,16*2,17*1,18*2",
+      (12, 10) );
+    ( "C6",
+      "v2 20 11 41 12 1 | 7*1,8*1,7*1,8*1,7*1,8*1,7*1,8*1,7*1,8*1,7*1,8*2 | \
+       11*2,10*4,9*3,8*4 | \
+       20*1,18*1,20*1,18*1,20*1,18*1,20*1,18*1,20*1,18*1,20*3 | \
+       11*1,12*1,13*1,14*2,15*1,16*1,17*2,18*1,19*1,20*2",
+      (12, 11) );
+  ]
+
+let test_tables_pinned () =
+  List.iter
+    (fun (name, encoding, (w_star, c_occ)) ->
+      let a = Casestudy.find name in
+      Alcotest.(check string)
+        (name ^ " table") encoding
+        (Core.Table_codec.table_to_string (table_of a));
+      let bp =
+        Core.Baseline_params.compute a.Casestudy.plant a.Casestudy.gains
+          ~j_star:a.Casestudy.j_star
+      in
+      check_int (name ^ " w_star") w_star bp.Core.Baseline_params.w_star;
+      check_int (name ^ " c_occ") c_occ bp.Core.Baseline_params.c_occ)
+    pinned
+
 (* ------------------------------------------------------------------ *)
 (* Sec. 3.1, Fig. 2: the motivational example *)
 
@@ -152,6 +206,8 @@ let () =
         [
           Alcotest.test_case "C1 exact" `Quick test_c1_exact;
           Alcotest.test_case "C6 exact" `Quick test_c6_exact;
+          Alcotest.test_case "encodings and baseline pinned" `Quick
+            test_tables_pinned;
         ] );
       ( "motivational example",
         [
