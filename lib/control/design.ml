@@ -14,12 +14,6 @@ type outcome = { gains : Switched.gains option; trace : candidate list }
 let ring_poles n radius =
   List.init n (fun i -> (radius *. (1. -. (0.1 *. float_of_int i)), 0.))
 
-let settling_of plant gains mode ~threshold =
-  let y =
-    Switched.run plant gains (fun _ -> mode) (Switched.disturbed plant) 600
-  in
-  Settle.settling_index ~threshold y
-
 let search ?(threshold = Settle.default_threshold) ?(require_cqlf = false)
     ?(kt_radii = [ 0.15; 0.2; 0.25; 0.3; 0.4; 0.5; 0.6 ])
     ?(lqr_weights = [ 0.1; 0.5; 1.; 3.; 10.; 30. ])
@@ -59,8 +53,9 @@ let search ?(threshold = Settle.default_threshold) ?(require_cqlf = false)
           :: !trace
       | Some ke ->
         let gains = Switched.make_gains plant ~kt ~ke in
-        let jt = settling_of plant gains Switched.Mt ~threshold in
-        let je = settling_of plant gains Switched.Me ~threshold in
+        let kernel = Settle_kernel.make ~threshold plant gains in
+        let jt = Settle_kernel.pure kernel Switched.Mt in
+        let je = Settle_kernel.pure kernel Switched.Me in
         let record switching_stable verdict =
           trace :=
             { kt_radius; ke_source; jt; je; switching_stable; verdict }

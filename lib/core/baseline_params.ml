@@ -1,33 +1,22 @@
 type t = { w_star : int; c_occ : int }
 
 let compute ?threshold p g ~j_star =
-  (* settling when waiting t_w and then holding the slot to rejection *)
-  let hold t_w =
-    let mode k = if k < t_w then Control.Switched.Me else Control.Switched.Mt in
-    Control.Settle.settling_index ?threshold
-      (Control.Switched.run p g mode (Control.Switched.disturbed p) (t_w + 600))
+  (* settling when waiting t_w and then holding the slot to rejection:
+     w_star is the longest wait that still meets J*, c_occ the longest
+     hold among the waits up to it *)
+  let k = Control.Settle_kernel.make ?threshold p g in
+  let rec scan t_w c_occ =
+    match Control.Settle_kernel.hold k ~t_w with
+    | Some j when j <= j_star -> scan (t_w + 1) (Int.max c_occ (j - t_w))
+    | Some j when t_w = 0 ->
+      raise
+        (Dwell.Infeasible
+           (Printf.sprintf "baseline: immediate grant settles at %d > J* = %d" j
+              j_star))
+    | None when t_w = 0 -> raise (Dwell.Infeasible "baseline: TT mode never settles")
+    | Some _ | None -> { w_star = t_w - 1; c_occ }
   in
-  (match hold 0 with
-   | Some j when j <= j_star -> ()
-   | Some j ->
-     raise
-       (Dwell.Infeasible
-          (Printf.sprintf "baseline: immediate grant settles at %d > J* = %d" j
-             j_star))
-   | None -> raise (Dwell.Infeasible "baseline: TT mode never settles"));
-  let rec scan t_w last =
-    match hold t_w with
-    | Some j when j <= j_star -> scan (t_w + 1) (Some t_w)
-    | Some _ | None -> last
-  in
-  let w_star = Option.get (scan 0 None) in
-  let c_occ = ref 1 in
-  for t_w = 0 to w_star do
-    match hold t_w with
-    | Some j -> c_occ := Int.max !c_occ (j - t_w)
-    | None -> ()
-  done;
-  { w_star; c_occ = !c_occ }
+  scan 0 1
 
 let to_spec ~id ~name ~r t =
   Sched.Baseline.make_spec ~id ~name ~w_star:t.w_star ~c_occ:t.c_occ ~r

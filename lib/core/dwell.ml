@@ -14,26 +14,27 @@ exception Infeasible of string
 
 let infeasible fmt = Format.kasprintf (fun s -> raise (Infeasible s)) fmt
 
-let settle_pure ?threshold p g mode =
-  Control.Settle.settling_index ?threshold
-    (Control.Switched.run p g (Strategy.pure mode) (Control.Switched.disturbed p) 600)
-
-(* settling when waiting [t_w] samples and then holding MT forever *)
-let settle_hold ?threshold p g ~t_w =
-  let mode k = if k < t_w then Control.Switched.Me else Control.Switched.Mt in
-  Control.Settle.settling_index ?threshold
-    (Control.Switched.run p g mode (Control.Switched.disturbed p) (t_w + 600))
-
-let j_of _table p g ~t_w ~t_dw = Strategy.settling p g ~t_w ~t_dw
+(* [f ()], with the samples [k] steps meanwhile counted under tracing *)
+let counting_samples k f =
+  let before = Control.Settle_kernel.samples k in
+  Fun.protect
+    ~finally:(fun () ->
+      if Obs.Trace_ctx.enabled () then
+        Obs.Metric.count "dwell.samples"
+          (Control.Settle_kernel.samples k - before))
+    f
 
 let surface ?threshold p g ~t_w_max ~t_dw_max =
   Obs.Span.with_ "dwell.surface" (fun () ->
+      let k = Control.Settle_kernel.make ?threshold p g in
       let s =
-        List.concat
-          (List.init (t_w_max + 1) (fun t_w ->
-               List.init t_dw_max (fun d ->
-                   let t_dw = d + 1 in
-                   (t_w, t_dw, Strategy.settling ?threshold p g ~t_w ~t_dw))))
+        counting_samples k (fun () ->
+            List.concat
+              (List.init (t_w_max + 1) (fun t_w ->
+                   List.mapi
+                     (fun d j -> (t_w, d + 1, j))
+                     (Array.to_list
+                        (Control.Settle_kernel.dwells k ~t_w ~len:t_dw_max)))))
       in
       if Obs.Trace_ctx.enabled () then begin
         Obs.Metric.count "dwell.simulations" (List.length s);
@@ -44,8 +45,8 @@ let surface ?threshold p g ~t_w_max ~t_dw_max =
 
 (* Per-wait analysis: scan dwell times and extract the min feasible
    dwell and the first dwell achieving the best attainable settling. *)
-let analyse_wait ?threshold p g ~j_star ~t_w =
-  match settle_hold ?threshold p g ~t_w with
+let analyse_wait k ~j_star ~t_w =
+  match Control.Settle_kernel.hold k ~t_w with
   | None ->
     (* even holding the slot forever never settles *)
     if Obs.Trace_ctx.enabled () then begin
@@ -55,10 +56,7 @@ let analyse_wait ?threshold p g ~j_star ~t_w =
     None
   | Some j_hold ->
     let cap = Int.max (j_hold - t_w) (j_star - t_w) + 25 in
-    let js =
-      Array.init cap (fun d ->
-          Strategy.settling ?threshold p g ~t_w ~t_dw:(d + 1))
-    in
+    let js = Control.Settle_kernel.dwells k ~t_w ~len:cap in
     if Obs.Trace_ctx.enabled () then begin
       Obs.Metric.count "dwell.simulations" (cap + 1);
       Obs.Metric.count "dwell.infeasible_skipped"
@@ -115,11 +113,11 @@ let analyse_wait ?threshold p g ~j_star ~t_w =
        end)
 
 (* [analyse_wait] with its wall time fed to the per-T_w histogram *)
-let analyse_wait_timed ?threshold p g ~j_star ~t_w =
-  if not (Obs.Trace_ctx.enabled ()) then analyse_wait ?threshold p g ~j_star ~t_w
+let analyse_wait_timed k ~j_star ~t_w =
+  if not (Obs.Trace_ctx.enabled ()) then analyse_wait k ~j_star ~t_w
   else begin
     let t0 = Obs.Clock.now () in
-    let r = analyse_wait ?threshold p g ~j_star ~t_w in
+    let r = analyse_wait k ~j_star ~t_w in
     Obs.Metric.observe_value "dwell.per_tw_s" (Obs.Clock.now () -. t0);
     r
   end
@@ -194,13 +192,15 @@ let compute ?cache ?threshold ?(stride = 1) p g ~j_star =
     infeasible "TT closed loop is unstable";
   if not (Linalg.Eig.is_schur_stable a_et) then
     infeasible "ET closed loop is unstable";
+  let k = Control.Settle_kernel.make ?threshold p g in
+  counting_samples k @@ fun () ->
   let jt =
-    match settle_pure ?threshold p g Control.Switched.Mt with
+    match Control.Settle_kernel.pure k Control.Switched.Mt with
     | Some j -> j
     | None -> infeasible "TT mode does not settle within the horizon"
   in
   let je =
-    match settle_pure ?threshold p g Control.Switched.Me with
+    match Control.Settle_kernel.pure k Control.Switched.Me with
     | Some j -> j
     | None -> infeasible "ET mode does not settle within the horizon"
   in
@@ -209,7 +209,7 @@ let compute ?cache ?threshold ?(stride = 1) p g ~j_star =
   if je <= j_star then
     infeasible "requirement J* = %d trivially met on ET: J_E = %d" j_star je;
   let rec collect t_w acc =
-    match analyse_wait_timed ?threshold p g ~j_star ~t_w with
+    match analyse_wait_timed k ~j_star ~t_w with
     | None -> List.rev acc
     | Some entry -> collect (t_w + stride) ((t_w, entry) :: acc)
   in

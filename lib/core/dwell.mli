@@ -65,7 +65,9 @@ val compute :
   t
 (** Simulate every switching combination with wait granularity [stride]
     (default 1; the paper's conservativeness/memory trade-off) and
-    build the table.  With [cache], the result is
+    build the table.  The settling indices come from one
+    {!Control.Settle_kernel} per call, so they equal
+    {!Strategy.settling}'s.  With [cache], the result is
     memoised under {!fingerprint} (infeasible computations raise and
     are never cached).  @raise Infeasible (see above). *)
 
@@ -83,9 +85,6 @@ val j_max : t -> t_w:int -> int
 
 val waits : t -> int list
 (** The simulated waits, in order: [0; stride; ...; t_w_max]. *)
-
-val j_of : t -> Control.Plant.t -> Control.Switched.gains -> t_w:int -> t_dw:int -> int option
-(** Re-simulate one combination (for spot checks and plots). *)
 
 val surface :
   ?threshold:float ->

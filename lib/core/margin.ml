@@ -10,17 +10,20 @@ type report = { rows : row list; safe : bool }
 
 let worst_settling_of (a : App.t) ~worst_wait =
   let t = a.App.table in
+  let k = Control.Settle_kernel.make a.App.plant a.App.gains in
   let worst = ref 0 in
   (* iterate grid waits only: with stride > 1 the raw wait is not a
      valid row index *)
   List.iter
     (fun t_w ->
-      if t_w <= worst_wait then
+      if t_w <= worst_wait then begin
+        let js = Control.Settle_kernel.dwells k ~t_w ~len:(Dwell.dw_max t ~t_w) in
         for t_dw = Dwell.dw_min t ~t_w to Dwell.dw_max t ~t_w do
-          match Strategy.settling a.App.plant a.App.gains ~t_w ~t_dw with
+          match js.(t_dw - 1) with
           | Some j -> if j > !worst then worst := j
           | None -> ()
-        done)
+        done
+      end)
     (Dwell.waits t);
   !worst
 

@@ -2,7 +2,13 @@
 
     After a disturbance at sample 0, the application runs in mode [ME]
     for [t_w] samples (waiting for the TT slot), then in mode [MT] for
-    [t_dw] samples (holding the slot), then in [ME] again forever. *)
+    [t_dw] samples (holding the slot), then in [ME] again forever.
+
+    {!response} and {!settling} simulate the experiment from sample 0
+    over the whole horizon and scan the trace afterwards.  They are the
+    reference that {!Control.Settle_kernel}, which computes every dwell
+    table, margin and baseline parameter, is tested against; nothing
+    else in the library calls them. *)
 
 val mode_at : t_w:int -> t_dw:int -> int -> Control.Switched.mode
 (** The mode of sample [k] under a wait of [t_w] and a dwell of [t_dw].
@@ -12,7 +18,6 @@ val pure : Control.Switched.mode -> int -> Control.Switched.mode
 (** A constant-mode sequence (dedicated slot, or ET only). *)
 
 val response :
-  ?threshold:float ->
   ?horizon:int ->
   Control.Plant.t ->
   Control.Switched.gains ->
@@ -20,9 +25,9 @@ val response :
   t_dw:int ->
   float array
 (** Output trace of the canonical disturbance experiment
-    ([x0 = e_1], [u_prev = 0]) under the switching sequence.  The
-    default horizon is chosen large enough for settling decisions (see
-    {!Dwell}). *)
+    ([x0 = e_1], [u_prev = 0]) under the switching sequence, over
+    [horizon] samples (default [t_w + t_dw + 400], long enough for
+    settling decisions). *)
 
 val settling :
   ?threshold:float ->

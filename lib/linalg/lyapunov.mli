@@ -27,6 +27,10 @@ val solve_discrete : Mat.t -> Mat.t -> Mat.t
 val residual : Mat.t -> Mat.t -> Mat.t -> float
 (** [residual a q p] is [‖aᵀ p a - p + q‖_F], for testing solutions. *)
 
+val decreases : Mat.t -> Mat.t -> bool
+(** [decreases p a] holds when [aᵀ p a - p] is negative definite, i.e.
+    [zᵀ p z] strictly decreases along [z' = a z]. *)
+
 val common_lyapunov : Mat.t -> Mat.t -> Mat.t option
 (** [common_lyapunov a1 a2] searches for a single positive-definite [p]
     with [aᵢᵀ p aᵢ - p] negative definite for both closed-loop matrices.

@@ -138,6 +138,151 @@ let test_deadline () =
   check_int "slack at max" 0 (Core.Dwell.deadline t ~t_w:t.Core.Dwell.t_w_max)
 
 (* ------------------------------------------------------------------ *)
+(* Settle kernel, against the reference simulation: Switched.run and
+   Settle.settling_index over today's horizons, and Strategy.settling *)
+
+let reference_pure p g mode =
+  Control.Settle.settling_index
+    (Control.Switched.run p g (Core.Strategy.pure mode)
+       (Control.Switched.disturbed p) 600)
+
+let reference_hold p g ~t_w =
+  Control.Settle.settling_index
+    (Control.Switched.run p g
+       (fun k -> if k < t_w then Control.Switched.Me else Control.Switched.Mt)
+       (Control.Switched.disturbed p) (t_w + 600))
+
+let show = function Some j -> string_of_int j | None -> "None"
+
+(* The first answer on which the kernel and the reference differ: pure
+   modes, and for every wait up to [t_w_hi] the hold and every dwell up
+   to the cap [Dwell.compute] scans at that wait. *)
+let kernel_disagreement p g ~j_star ~t_w_hi =
+  let k = Control.Settle_kernel.make p g in
+  let differ what a b =
+    if a = b then None
+    else Some (Printf.sprintf "%s: kernel %s, reference %s" what (show a) (show b))
+  in
+  let rec waits t_w =
+    if t_w > t_w_hi then None
+    else
+      let hold = Control.Settle_kernel.hold k ~t_w in
+      match differ (Printf.sprintf "hold t_w=%d" t_w) hold (reference_hold p g ~t_w) with
+      | Some _ as m -> m
+      | None ->
+        let j_hold = Option.value hold ~default:j_star in
+        let cap = Int.max (j_hold - t_w) (j_star - t_w) + 25 in
+        let row = Control.Settle_kernel.dwells k ~t_w ~len:cap in
+        let rec dwells t_dw =
+          if t_dw > cap then waits (t_w + 1)
+          else
+            match
+              differ
+                (Printf.sprintf "t_w=%d t_dw=%d" t_w t_dw)
+                row.(t_dw - 1)
+                (Core.Strategy.settling p g ~t_w ~t_dw)
+            with
+            | Some _ as m -> m
+            | None -> dwells (t_dw + 1)
+        in
+        dwells 1
+  in
+  match
+    List.find_map
+      (fun (mode, name) ->
+        differ name (Control.Settle_kernel.pure k mode) (reference_pure p g mode))
+      [ (Control.Switched.Mt, "pure MT"); (Control.Switched.Me, "pure ME") ]
+  with
+  | Some _ as m -> m
+  | None -> waits 0
+
+let kernel_plants =
+  plant :: List.map (fun (a : Casestudy.app) -> a.Casestudy.plant) Casestudy.all
+
+let check_agrees name p g ~j_star ~t_w_hi =
+  Alcotest.(check (option string))
+    name None
+    (kernel_disagreement p g ~j_star ~t_w_hi)
+
+let et_output p = Array.append p.Control.Plant.c [| 0. |]
+
+(* sqrt(c P⁻¹ cᵀ · zᵀPz) bounds |y| from z on, for both loops of the
+   test pair and of every case-study pair *)
+let test_kernel_bound_dominates () =
+  let rand = Random.State.make [| 7 |] in
+  List.iter
+    (fun (name, p, (g : Control.Switched.gains)) ->
+      let n = Control.Plant.order p in
+      List.iter
+        (fun (mode, a, c) ->
+          match Control.Settle_kernel.certify a c with
+          | None -> Alcotest.failf "%s: a stable loop must be certified" name
+          | Some cert ->
+            for _ = 1 to 25 do
+              let z =
+                Array.init (Linalg.Mat.rows a) (fun _ ->
+                    Random.State.float rand 2. -. 1.)
+              in
+              let s0 =
+                Control.Switched.initial
+                  ~u_prev:(if Array.length z > n then z.(n) else 0.)
+                  (Array.sub z 0 n)
+              in
+              let y = Control.Switched.run p g (fun _ -> mode) s0 2000 in
+              if Control.Settle.peak y > Control.Settle_kernel.bound cert z then
+                Alcotest.failf "%s: bound %g below peak %g" name
+                  (Control.Settle_kernel.bound cert z) (Control.Settle.peak y)
+            done)
+        [
+          ( Control.Switched.Mt,
+            Control.Feedback.closed_loop_tt p g.Control.Switched.kt,
+            p.Control.Plant.c );
+          ( Control.Switched.Me,
+            Control.Feedback.closed_loop_et p g.Control.Switched.ke,
+            et_output p );
+        ])
+    (("test", plant, gains)
+    :: List.map
+         (fun (a : Casestudy.app) ->
+           (a.Casestudy.name, a.Casestudy.plant, a.Casestudy.gains))
+         Casestudy.all)
+
+let test_kernel_unstable_et () =
+  let ke =
+    Control.Pole_place.place_et plant [ (1.05, 0.); (0.85, 0.); (0.3, 0.) ]
+  in
+  let g = Control.Switched.make_gains plant ~kt:gains.Control.Switched.kt ~ke in
+  check_bool "no certificate" true
+    (Control.Settle_kernel.certify (Control.Feedback.closed_loop_et plant ke)
+       (et_output plant)
+    = None);
+  check_bool "ET diverges" true (reference_pure plant g Control.Switched.Me = None);
+  check_agrees "unstable ET" plant g ~j_star:25 ~t_w_hi:6
+
+(* design C1's screen: K_T on the 0.4 ring with the LQR K_E at r = 3
+   (J_E = 512, so the pure-mode horizon must exceed 512) and at r = 10,
+   whose ET loop is certified but so slow that a one-sample dwell's tail
+   is still outside the band 400 samples later *)
+let test_kernel_slow_tail_hits_cap () =
+  let p = Casestudy.c1.Casestudy.plant in
+  let kt = Control.Pole_place.place_tt p [ (0.4, 0.); (0.36, 0.); (0.32, 0.) ] in
+  List.iter
+    (fun (r, j_e, unsettled) ->
+      let ke = Control.Lqr.gain_et ~r p in
+      let g = Control.Switched.make_gains p ~kt ~ke in
+      check_bool "certified" true
+        (Control.Settle_kernel.certify (Control.Feedback.closed_loop_et p ke)
+           (et_output p)
+        <> None);
+      let k = Control.Settle_kernel.make p g in
+      check_bool "J_E" true
+        (Control.Settle_kernel.pure k Control.Switched.Me = j_e);
+      check_bool "one-sample dwell at the cap" unsettled
+        ((Control.Settle_kernel.dwells k ~t_w:0 ~len:1).(0) = None);
+      check_agrees "slow ET" p g ~j_star:18 ~t_w_hi:4)
+    [ (3., Some 512, false); (10., None, true) ]
+
+(* ------------------------------------------------------------------ *)
 (* App *)
 
 let app name r =
@@ -768,21 +913,26 @@ let prop_counterexample_replays =
       | Core.Dverify.Undetermined _ -> false
       | Core.Dverify.Unsafe ce -> replays_to_error g ce)
 
+(* random pole-placed gain pairs: the TT poles on a ring of radius
+   rho_t, the ET poles near rho_e plus a fast one, and a budget J* *)
+let gen_design =
+  QCheck2.Gen.(
+    triple (float_range 0.15 0.45) (float_range 0.75 0.92) (int_range 18 35))
+
+let pole_placed p ~rho_t ~rho_e =
+  let n = Control.Plant.order p in
+  let ring rho ratio = List.init n (fun i -> (rho *. (ratio ** float_of_int i), 0.)) in
+  let kt = Control.Pole_place.place_tt p (ring rho_t 0.9) in
+  let ke = Control.Pole_place.place_et p (ring rho_e 0.95 @ [ (0.3, 0.) ]) in
+  Control.Switched.make_gains p ~kt ~ke
+
 let prop_dwell_window_always_feasible =
   (* the suffix-safe invariant: EVERY dwell in [T-, T+] meets J* (so a
      preemption landing anywhere in the admissible window is safe) *)
   QCheck2.Test.make ~name:"every admissible dwell meets the budget" ~count:15
-    QCheck2.Gen.(
-      triple (float_range 0.15 0.45) (float_range 0.75 0.92) (int_range 18 35))
+    gen_design
     (fun (rho_t, rho_e, j_star) ->
-      let kt =
-        Control.Pole_place.place_tt plant [ (rho_t, 0.); (rho_t *. 0.9, 0.) ]
-      in
-      let ke =
-        Control.Pole_place.place_et plant
-          [ (rho_e, 0.); (rho_e *. 0.95, 0.); (0.3, 0.) ]
-      in
-      let g = Control.Switched.make_gains plant ~kt ~ke in
+      let g = pole_placed plant ~rho_t ~rho_e in
       match Core.Dwell.compute plant g ~j_star with
       | exception Core.Dwell.Infeasible _ -> true
       | t ->
@@ -797,6 +947,23 @@ let prop_dwell_window_always_feasible =
           t.Core.Dwell.t_dw_min;
         !ok)
 
+(* the kernel against the reference on the test plant and the six
+   case-study plants; every wait up to T*_w + 3 *)
+let prop_kernel_matches_reference =
+  QCheck2.Test.make ~name:"settle kernel = reference simulation" ~count:40
+    QCheck2.Gen.(pair (int_bound (List.length kernel_plants - 1)) gen_design)
+    (fun (i, (rho_t, rho_e, j_star)) ->
+      let p = List.nth kernel_plants i in
+      let g = pole_placed p ~rho_t ~rho_e in
+      let t_w_max =
+        match Core.Dwell.compute p g ~j_star with
+        | t -> t.Core.Dwell.t_w_max
+        | exception Core.Dwell.Infeasible _ -> 0
+      in
+      match kernel_disagreement p g ~j_star ~t_w_hi:(t_w_max + 3) with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_report m)
+
 let prop_codec_roundtrip =
   QCheck2.Test.make ~name:"RLE decode . encode = id" ~count:100
     QCheck2.Gen.(array_size (int_range 1 30) (int_range 0 9))
@@ -809,6 +976,11 @@ let props =
       prop_counterexample_replays;
       prop_dwell_window_always_feasible;
       prop_codec_roundtrip;
+    ]
+  @ [
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 2019 |])
+        prop_kernel_matches_reference;
     ]
 
 let () =
@@ -830,6 +1002,15 @@ let () =
           Alcotest.test_case "stride" `Quick test_dwell_stride;
           Alcotest.test_case "surface" `Quick test_dwell_surface_consistency;
           Alcotest.test_case "deadline" `Quick test_deadline;
+        ] );
+      ( "settle kernel",
+        [
+          Alcotest.test_case "bound dominates the tail" `Quick
+            test_kernel_bound_dominates;
+          Alcotest.test_case "unstable ET uncertified" `Quick
+            test_kernel_unstable_et;
+          Alcotest.test_case "slow tail hits the cap" `Quick
+            test_kernel_slow_tail_hits_cap;
         ] );
       ( "app",
         [
