@@ -1081,7 +1081,7 @@ let cache_snapshot () =
       engine_runs := 0;
       let warm_s, warm_out, _ = run () in
       let warm_runs = !engine_runs in
-      Sys.remove path;
+      List.iter Sys.remove [ path; path ^ ".lock" ];
       if not (String.equal cold_out warm_out) then
         failwith "cache snapshot: warm output diverges from cold";
       if warm_runs <> 0 then

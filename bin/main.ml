@@ -779,9 +779,9 @@ let faults_arg =
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:
           "Fault-injection spec: ';'-separated clauses among \
-           blackout:A-B, blackout:p=P[,len=L], loss:APP\\@K, \
-           loss:APP\\@p=P, drop:APP\\@K, drop:APP\\@p=P, \
-           burst:APP\\@S[xN].  Random clauses draw from --seed.")
+           blackout:A-B, blackout:p=P[,len=L], loss:APP@K, \
+           loss:APP@p=P, drop:APP@K, drop:APP@p=P, \
+           burst:APP@S[xN].  Random clauses draw from --seed.")
 
 let sim_seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Seed for random fault clauses.")

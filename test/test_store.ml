@@ -16,14 +16,15 @@ let temp_path () =
   Sys.remove path;
   path
 
+(* a store file and its writer-lock sibling *)
+let remove_store path =
+  List.iter
+    (fun p -> try Sys.remove p with Sys_error _ -> ())
+    [ path; path ^ ".lock" ]
+
 let with_store f =
   let path = temp_path () in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path; path ^ ".lock" ])
-    (fun () -> f path)
+  Fun.protect ~finally:(fun () -> remove_store path) (fun () -> f path)
 
 let open_exn ~path ~salt =
   match Store.open_ ~path ~salt with
@@ -356,19 +357,13 @@ let test_fingerprint_canonical () =
 (* ------------------------------------------------------------------ *)
 (* Pcache: codecs and soundness *)
 
-let with_pcache f =
-  let path = temp_path () in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
 let pcache_exn path =
   match Core.Pcache.open_ ~path with
   | Ok pc -> pc
   | Error m -> Alcotest.failf "Pcache.open_ failed: %s" m
 
 let test_pcache_verdict_roundtrip () =
-  with_pcache @@ fun path ->
+  with_store @@ fun path ->
   let safe = [| adversarial_spec ~id:0 ~name:"A" |]
   and unsafe = [| adversarial_spec ~id:0 ~name:"B" |]
   and undet = [| adversarial_spec ~id:0 ~name:"C" |] in
@@ -387,7 +382,7 @@ let test_pcache_verdict_roundtrip () =
   Core.Pcache.close pc
 
 let test_pcache_mapping_cache_skips_engine () =
-  with_pcache @@ fun path ->
+  with_store @@ fun path ->
   let specs =
     [| adversarial_spec ~id:0 ~name:"A"; adversarial_spec ~id:1 ~name:"B" |]
   in
@@ -428,7 +423,7 @@ let test_pcache_salt_bumped_for_prefilter () =
   check_bool "salt names the prefilter engine generation" true
     (String.length Core.Pcache.engine_salt >= 21
      && String.sub Core.Pcache.engine_salt 0 21 = "dverify-2 prefilter-1");
-  with_pcache @@ fun path ->
+  with_store @@ fun path ->
   let specs = [| adversarial_spec ~id:0 ~name:"A" |] in
   (* forge a store as the previous engine generation would have written
      it: same record shape, pre-bump salt *)
@@ -476,7 +471,7 @@ let outcome_key (o : Core.Mapping.outcome) =
     Format.asprintf "%a" Core.Mapping.pp o )
 
 let test_dwell_table_persists () =
-  with_pcache @@ fun path ->
+  with_store @@ fun path ->
   let pc = pcache_exn path in
   let t1 =
     Core.Dwell.compute ~cache:(Core.Pcache.dwell_cache pc) plant gains
@@ -518,10 +513,7 @@ let prop_cache_invisible =
       and run_opt ?cache () =
         Core.Mapping.optimal ?cache ~verifier:counting apps
       in
-      let path = temp_path () in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        (fun () ->
+      with_store (fun path ->
           (* reference: no cache at all *)
           let ff_ref = outcome_key (run_ff ())
           and opt_ref = outcome_key (run_opt ()) in
