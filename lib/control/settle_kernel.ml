@@ -56,6 +56,9 @@ type t = {
   cert_et : certificate option;
   z : float array;  (* the state being run to its settling index *)
   seg : float array;  (* the end of the shared prefix and TT segment *)
+  pre : float array;  (* the ET wait from the disturbance, at [pre_at] *)
+  mutable pre_at : int;
+  mutable pre_last : int;  (* its last violating sample, -1 for none *)
   tmp : float array;
   mutable samples : int;
 }
@@ -78,6 +81,9 @@ let make ?(threshold = Settle.default_threshold) p (g : Switched.gains) =
       certify (Feedback.closed_loop_et p g.Switched.ke) (Array.append c [| 0. |]);
     z = Array.make (n + 1) 0.;
     seg = Array.make (n + 1) 0.;
+    pre = Array.init (n + 1) (fun i -> if i = 0 then 1. else 0.);
+    pre_at = 0;
+    pre_last = -1;
     tmp = Array.make n 0.;
     samples = 0;
   }
@@ -150,16 +156,23 @@ let tail k mode z ~from ~cap ~last =
   in
   go from last
 
-(* the ET wait: [z] ends at sample [t_w]; returns the last violation *)
+(* Copy the ET wait's state at sample [t_w] into [z] and return its last
+   violation.  The wait is simulated once and extended from one [t_w] to
+   the next; asking for an earlier wait restarts it. *)
 let prefix k z ~t_w =
   if t_w < 0 then invalid_arg "Settle_kernel: negative wait";
-  disturb k z;
-  let last = ref (-1) in
-  for i = 0 to t_w - 1 do
-    if violates k z then last := i;
-    step_et k z
+  if t_w < k.pre_at then begin
+    disturb k k.pre;
+    k.pre_at <- 0;
+    k.pre_last <- -1
+  end;
+  while k.pre_at < t_w do
+    if violates k k.pre then k.pre_last <- k.pre_at;
+    step_et k k.pre;
+    k.pre_at <- k.pre_at + 1
   done;
-  !last
+  Array.blit k.pre 0 z 0 (k.n + 1);
+  k.pre_last
 
 let pure k mode =
   disturb k k.z;

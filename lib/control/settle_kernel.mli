@@ -9,8 +9,10 @@
     so every simulated sample is the same float.  It differs in how
     much it simulates:
 
-    - A row of dwell times shares one ET wait and grows the TT segment
-      by one sample per dwell, instead of re-simulating from sample 0.
+    - The ET wait is simulated once and extended from one wait to the
+      next (waits asked in increasing order); a row of dwell times
+      shares it and grows the TT segment by one sample per dwell,
+      instead of re-simulating from sample 0.
     - A run stops at the first in-band sample [k] whose tail is
       certified: with [P] solving [AᵀPA − P + I = 0] for the closed loop
       [A] the tail runs in, every later output satisfies

@@ -155,8 +155,9 @@ let reference_hold p g ~t_w =
 let show = function Some j -> string_of_int j | None -> "None"
 
 (* The first answer on which the kernel and the reference differ: pure
-   modes, and for every wait up to [t_w_hi] the hold and every dwell up
-   to the cap [Dwell.compute] scans at that wait. *)
+   modes, for every wait up to [t_w_hi] the hold and every dwell up to
+   the cap [Dwell.compute] scans at that wait, and then the hold at wait
+   0 again, which restarts the kernel's shared ET wait. *)
 let kernel_disagreement p g ~j_star ~t_w_hi =
   let k = Control.Settle_kernel.make p g in
   let differ what a b =
@@ -164,7 +165,10 @@ let kernel_disagreement p g ~j_star ~t_w_hi =
     else Some (Printf.sprintf "%s: kernel %s, reference %s" what (show a) (show b))
   in
   let rec waits t_w =
-    if t_w > t_w_hi then None
+    if t_w > t_w_hi then
+      differ "hold t_w=0 again"
+        (Control.Settle_kernel.hold k ~t_w:0)
+        (reference_hold p g ~t_w:0)
     else
       let hold = Control.Settle_kernel.hold k ~t_w in
       match differ (Printf.sprintf "hold t_w=%d" t_w) hold (reference_hold p g ~t_w) with
