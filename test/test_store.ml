@@ -354,6 +354,16 @@ let test_fingerprint_canonical () =
           (Core.Mapping.fingerprint [| a |])
           (Core.Mapping.fingerprint [| a' |])))
 
+(* the dwell-table key of C1, pinned by digest: a store answers a
+   table lookup only under a byte-identical key, so any change to
+   Dwell.fingerprint silently turns every persisted table into a miss *)
+let test_dwell_fingerprint_pinned () =
+  let a = Casestudy.c1 in
+  check_string "C1 dwell key" "72bd8f38251eae11"
+    (Store.fnv64
+       (Core.Dwell.fingerprint a.Casestudy.plant a.Casestudy.gains
+          ~j_star:a.Casestudy.j_star))
+
 (* ------------------------------------------------------------------ *)
 (* Pcache: codecs and soundness *)
 
@@ -585,6 +595,8 @@ let () =
             test_fingerprint_injection_regression;
           Alcotest.test_case "canonical and field-sensitive" `Quick
             test_fingerprint_canonical;
+          Alcotest.test_case "C1 dwell key pinned" `Quick
+            test_dwell_fingerprint_pinned;
         ] );
       ( "pcache",
         [
