@@ -980,11 +980,7 @@ let props =
       prop_counterexample_replays;
       prop_dwell_window_always_feasible;
       prop_codec_roundtrip;
-    ]
-  @ [
-      QCheck_alcotest.to_alcotest
-        ~rand:(Random.State.make [| 2019 |])
-        prop_kernel_matches_reference;
+      prop_kernel_matches_reference;
     ]
 
 let () =
