@@ -111,23 +111,4 @@ let store t = t.store
 let stats t = Store.stats t.store
 let read_only t = Store.read_only t.store
 
-type hit_stats = { mem : int; disk : int; engine : int }
-
-(* aggregated over both backed caches; forcing a lazy cache just to
-   read zero counters would be silly, so unforced ones count nothing *)
-let hit_stats t =
-  let m, d, e =
-    if Lazy.is_val t.mapping then
-      let c = Lazy.force t.mapping in
-      (Par.Vcache.hits c, Par.Vcache.disk_hits c, Par.Vcache.misses c)
-    else (0, 0, 0)
-  in
-  let m', d', e' =
-    if Lazy.is_val t.dwell then
-      let c = Lazy.force t.dwell in
-      (Par.Vcache.hits c, Par.Vcache.disk_hits c, Par.Vcache.misses c)
-    else (0, 0, 0)
-  in
-  { mem = m + m'; disk = d + d'; engine = e + e' }
-
 let close t = Store.close t.store

@@ -53,11 +53,4 @@ val read_only : t -> bool
     computed through this handle stay in memory and are not persisted
     (see {!Store.read_only}). *)
 
-type hit_stats = { mem : int; disk : int; engine : int }
-
-val hit_stats : t -> hit_stats
-(** Where answers have come from so far, aggregated over both backed
-    caches: in-memory hits, store hits, and fresh computations.  The
-    running total a resident service reports across requests. *)
-
 val close : t -> unit

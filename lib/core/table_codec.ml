@@ -37,10 +37,9 @@ let dictionary_words a =
 (* serialisation, format 2:
      "v2 j_star jt je t_w_max stride | rle(t_dw_min) | rle(t_dw_max)
       | rle(j_at_min) | rle(j_at_max)"
-   with runs as "v*k".  Format 1 lacked the version tag and the stride
-   field ("j_star jt je t_w_max | ..."); tables written by it predate
-   stride-aware consumers, so decoding maps them to stride = 1 —
-   exactly the semantics they were computed under. *)
+   with runs as "v*k".  Only format 2 decodes: the store salts its
+   file with the codec version (Pcache.engine_salt), so no store
+   holds a table in any other format. *)
 let version = 2
 let rle_to_string rle =
   String.concat "," (List.map (fun (v, k) -> Printf.sprintf "%d*%d" v k) rle)
@@ -71,21 +70,13 @@ let table_of_string s =
   match String.split_on_char '|' s |> List.map String.trim with
   | [ header; f1; f2; f3; f4 ] ->
     let* j_star, jt, je, t_w_max, stride =
-      let ints l =
-        try Ok (List.map int_of_string l) with _ -> Error "bad header integers"
-      in
       match String.split_on_char ' ' header |> List.filter (fun x -> x <> "") with
       | "v2" :: fields -> (
-        match ints fields with
-        | Ok [ a; b; c; d; e ] -> Ok (a, b, c, d, e)
-        | Ok _ -> Error "bad v2 header shape"
-        | Error e -> Error e)
-      | fields -> (
-        (* format 1: no version tag, no stride field *)
-        match ints fields with
-        | Ok [ a; b; c; d ] -> Ok (a, b, c, d, 1)
-        | Ok _ -> Error "bad header shape"
-        | Error e -> Error e)
+        match List.map int_of_string fields with
+        | [ a; b; c; d; e ] -> Ok (a, b, c, d, e)
+        | _ -> Error "bad v2 header shape"
+        | exception Failure _ -> Error "bad header integers")
+      | _ -> Error "not a v2 table"
     in
     let* r1 = rle_of_string f1 in
     let* r2 = rle_of_string f2 in
@@ -107,13 +98,3 @@ let table_of_string s =
     let* () = Dwell.validate t in
     Ok t
   | _ -> Error "expected 5 |-separated fields"
-
-let compression_ratio (t : Dwell.t) =
-  (* only the dwell arrays live on the ECU; the j_at_* arrays are
-     offline diagnostics *)
-  let plain = 2 * Array.length t.Dwell.t_dw_min in
-  let packed =
-    encoded_words (encode t.Dwell.t_dw_min)
-    + encoded_words (encode t.Dwell.t_dw_max)
-  in
-  float_of_int plain /. float_of_int packed

@@ -25,19 +25,12 @@ val dictionary_words : int array -> int
     handles alternating tables that defeat run-length coding. *)
 
 val version : int
-(** Current serialisation format.  Format 2 added a version tag and the
-    table's [stride] to the header; format-1 strings (no tag, no
-    stride) still decode, as stride 1. *)
+(** The serialisation format, 2: a version tag and the table's
+    [stride] lead the header. *)
 
 val table_to_string : Dwell.t -> string
 (** One-line textual serialisation of a full dwell table (header
     integers plus run-length encoded arrays), in the current format. *)
 
 val table_of_string : string -> (Dwell.t, string) result
-(** Inverse of {!table_to_string}; accepts format 1 and 2; validates
-    with {!Dwell.validate}. *)
-
-val compression_ratio : Dwell.t -> float
-(** Plain words divided by encoded words for the two dwell arrays (the
-    only ones an ECU must store online); > 1 means the encoding saves
-    memory. *)
+(** Inverse of {!table_to_string}; validates with {!Dwell.validate}. *)

@@ -63,24 +63,6 @@ let prop_rle_roundtrip =
         (Array.concat (List.map (fun (v, n) -> Array.make n v) runs)))
     (fun a -> Core.Table_codec.decode (Core.Table_codec.encode a) = a)
 
-(* format-1 strings (no version tag, no stride) must still decode, as
-   stride 1 — tables persisted before the codec bump *)
-let v1_decode_compat () =
-  let v1 = "10 3 15 2 | 4*3 | 6*2,5*1 | 8*3 | 7*3" in
-  match Core.Table_codec.table_of_string v1 with
-  | Error e -> Alcotest.failf "v1 decode failed: %s" e
-  | Ok t ->
-    Alcotest.(check int) "stride defaults to 1" 1 t.Core.Dwell.stride;
-    Alcotest.(check int) "t_w_max" 2 t.Core.Dwell.t_w_max;
-    Alcotest.(check (array int))
-      "t_dw_min" [| 4; 4; 4 |] t.Core.Dwell.t_dw_min;
-    (* and a v1 table re-encodes in the current format losslessly *)
-    (match
-       Core.Table_codec.table_of_string (Core.Table_codec.table_to_string t)
-     with
-    | Ok t' -> Alcotest.(check bool) "v2 round-trip of v1 table" true (t = t')
-    | Error e -> Alcotest.failf "re-encode failed: %s" e)
-
 (* ------------------------------------------------------------------ *)
 (* Random fault specs *)
 
@@ -136,7 +118,4 @@ let () =
       ( "roundtrip",
         List.map QCheck_alcotest.to_alcotest
           [ prop_table_roundtrip; prop_rle_roundtrip; prop_spec_roundtrip ] );
-      ( "compat",
-        [ Alcotest.test_case "v1 header decodes as stride 1" `Quick
-            v1_decode_compat ] );
     ]
