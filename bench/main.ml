@@ -389,7 +389,7 @@ let margins () =
     (fun names ->
       let group = List.map find_app names in
       Printf.printf "{%s}:\n" (String.concat "," names);
-      Format.printf "%a@." Core.Margin.pp (Core.Margin.analyse ~apps:group ()))
+      Format.printf "%a@." Core.Margin.pp (Core.Margin.analyse group))
     [ [ "C1"; "C5"; "C4"; "C3" ]; [ "C6"; "C2" ] ]
 
 (* ------------------------------------------------------------------ *)

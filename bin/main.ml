@@ -455,7 +455,7 @@ let margins_cmd_run names =
   | Error (`Msg m) -> prerr_endline m; 1
   | Ok [] -> prerr_endline "margins: give at least one application"; 1
   | Ok apps ->
-    let report = Core.Margin.analyse ~apps () in
+    let report = Core.Margin.analyse apps in
     Format.printf "%a@." Core.Margin.pp report;
     if report.Core.Margin.safe then 0 else 2
 

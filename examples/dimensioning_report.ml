@@ -34,7 +34,7 @@ let () =
   List.iter
     (fun slot ->
       Format.printf "S%d:@.%a@." (slot.Core.Mapping.index + 1) Core.Margin.pp
-        (Core.Margin.analyse ~apps:slot.Core.Mapping.apps ()))
+        (Core.Margin.analyse slot.Core.Mapping.apps))
     ff.Core.Mapping.slots;
 
   Format.printf "@.== why C6 cannot join S1 ==@.";

@@ -14,10 +14,13 @@ type outcome = { gains : Switched.gains option; trace : candidate list }
 let ring_poles n radius =
   List.init n (fun i -> (radius *. (1. -. (0.1 *. float_of_int i)), 0.))
 
-let search ?(threshold = Settle.default_threshold) ?(require_cqlf = false)
-    ?(kt_radii = [ 0.15; 0.2; 0.25; 0.3; 0.4; 0.5; 0.6 ])
-    ?(lqr_weights = [ 0.1; 0.5; 1.; 3.; 10.; 30. ])
-    ?(ke_radii = [ 0.8; 0.85; 0.9; 0.95 ]) plant ~j_star =
+(* the candidate grid: K_T pole radii, then the K_E designs (LQR input
+   weights, slow pole radii) tried for each *)
+let kt_radii = [ 0.15; 0.2; 0.25; 0.3; 0.4; 0.5; 0.6 ]
+let lqr_weights = [ 0.1; 0.5; 1.; 3.; 10.; 30. ]
+let ke_radii = [ 0.8; 0.85; 0.9; 0.95 ]
+
+let search ?(require_cqlf = false) plant ~j_star =
   if j_star < 1 then invalid_arg "Design.search: j_star must be >= 1";
   if not (Ctrb.is_controllable plant.Plant.phi plant.Plant.gamma) then
     invalid_arg "Design.search: plant is not controllable";
@@ -53,7 +56,7 @@ let search ?(threshold = Settle.default_threshold) ?(require_cqlf = false)
           :: !trace
       | Some ke ->
         let gains = Switched.make_gains plant ~kt ~ke in
-        let kernel = Settle_kernel.make ~threshold plant gains in
+        let kernel = Settle_kernel.make plant gains in
         let jt = Settle_kernel.pure kernel Switched.Mt in
         let je = Settle_kernel.pure kernel Switched.Me in
         let record switching_stable verdict =
@@ -104,8 +107,8 @@ let search ?(threshold = Settle.default_threshold) ?(require_cqlf = false)
   in
   { gains; trace = List.rev !trace }
 
-let synthesize ?threshold ?require_cqlf plant ~j_star =
-  let o = search ?threshold ?require_cqlf plant ~j_star in
+let synthesize ?require_cqlf plant ~j_star =
+  let o = search ?require_cqlf plant ~j_star in
   match o.gains with
   | Some g -> Ok g
   | None ->

@@ -35,28 +35,16 @@ type outcome = {
   trace : candidate list;  (** screening record, in search order *)
 }
 
-val search :
-  ?threshold:float ->
-  ?require_cqlf:bool ->
-  ?kt_radii:float list ->
-  ?lqr_weights:float list ->
-  ?ke_radii:float list ->
-  Plant.t ->
-  j_star:int ->
-  outcome
-(** [search plant ~j_star] screens the candidate grid (defaults:
-    [kt_radii] 0.15..0.6, [lqr_weights] 0.1..30, [ke_radii] 0.8..0.95)
-    and stops at the first certified admissible pair; without
+val search : ?require_cqlf:bool -> Plant.t -> j_star:int -> outcome
+(** [search plant ~j_star] screens the candidate grid ([K_T] pole radii
+    0.15..0.6; LQR input weights 0.1..30 and pole radii 0.8..0.95 for
+    [K_E]) and stops at the first certified admissible pair; without
     [~require_cqlf:true] it falls back to the first uncertified
     bracketing pair when no candidate is certified.
     @raise Invalid_argument if the plant is not controllable or
     [j_star < 1]. *)
 
 val synthesize :
-  ?threshold:float ->
-  ?require_cqlf:bool ->
-  Plant.t ->
-  j_star:int ->
-  (Switched.gains, string) result
+  ?require_cqlf:bool -> Plant.t -> j_star:int -> (Switched.gains, string) result
 (** {!search} reduced to its answer; the error carries a summary of why
     the grid failed (useful in error messages). *)

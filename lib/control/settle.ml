@@ -1,6 +1,6 @@
-let default_threshold = 0.02
+let threshold = 0.02
 
-let settling_index ?(threshold = default_threshold) y =
+let settling_index y =
   let n = Array.length y in
   if n = 0 then Some 0
   else
@@ -15,11 +15,11 @@ let settling_index ?(threshold = default_threshold) y =
     | Some k when k = n - 1 -> None (* still violating at the horizon *)
     | Some k -> Some (k + 1)
 
-let settling_time ?threshold ~h y =
-  Option.map (fun j -> float_of_int j *. h) (settling_index ?threshold y)
+let settling_time ~h y =
+  Option.map (fun j -> float_of_int j *. h) (settling_index y)
 
-let is_settled_within ?threshold j y =
-  match settling_index ?threshold y with
+let is_settled_within j y =
+  match settling_index y with
   | None -> false
   | Some i -> i <= j
 

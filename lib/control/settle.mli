@@ -2,20 +2,22 @@
 
     The paper's metric: [J] is the smallest index such that
     [|y[k]| <= threshold] for every [k >= J] within the simulated
-    horizon (Sec. 3.1 uses [threshold = 0.02]). *)
+    horizon.  Sec. 3.1 fixes one band, [threshold = 0.02], for every
+    application, and every settling time in the library is measured
+    against it. *)
 
-val default_threshold : float
+val threshold : float
 (** [0.02], the band used throughout the paper. *)
 
-val settling_index : ?threshold:float -> float array -> int option
+val settling_index : float array -> int option
 (** Smallest [j] with [|y[k]| <= threshold] for all [k >= j].
     [None] when the final sample still violates the band (the trace is
     too short to conclude, or the system diverges). *)
 
-val settling_time : ?threshold:float -> h:float -> float array -> float option
+val settling_time : h:float -> float array -> float option
 (** {!settling_index} scaled by the sampling period, in seconds. *)
 
-val is_settled_within : ?threshold:float -> int -> float array -> bool
+val is_settled_within : int -> float array -> bool
 (** [is_settled_within j y] holds when the trace settles at or before
     sample [j]. *)
 

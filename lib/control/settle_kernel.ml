@@ -50,8 +50,6 @@ type t = {
   c : float array;
   kt : float array;
   ke : float array;
-  threshold : float;
-  limit : float;  (* (threshold (1 - 1e-9))², the certificate's bar *)
   cert_tt : certificate option;
   cert_et : certificate option;
   z : float array;  (* the state being run to its settling index *)
@@ -63,10 +61,12 @@ type t = {
   mutable samples : int;
 }
 
-let make ?(threshold = Settle.default_threshold) p (g : Switched.gains) =
+(* (threshold (1 - 1e-9))², the certificate's bar *)
+let limit = (Settle.threshold *. (1. -. 1e-9)) ** 2.
+
+let make p (g : Switched.gains) =
   let n = Plant.order p in
   let c = p.Plant.c in
-  let limit = (threshold *. (1. -. 1e-9)) ** 2. in
   {
     n;
     phi = p.Plant.phi.Linalg.Mat.data;
@@ -74,8 +74,6 @@ let make ?(threshold = Settle.default_threshold) p (g : Switched.gains) =
     c;
     kt = g.Switched.kt;
     ke = g.Switched.ke;
-    threshold;
-    limit;
     cert_tt = certify (Feedback.closed_loop_tt p g.Switched.kt) c;
     cert_et =
       certify (Feedback.closed_loop_et p g.Switched.ke) (Array.append c [| 0. |]);
@@ -131,7 +129,7 @@ let step_et k z =
 let step k mode z =
   match mode with Switched.Mt -> step_tt k z | Switched.Me -> step_et k z
 
-let violates k z = Float.abs (output k z) > k.threshold
+let violates k z = Float.abs (output k z) > Settle.threshold
 
 let disturb k z =
   Array.fill z 0 (k.n + 1) 0.;
@@ -149,7 +147,7 @@ let tail k mode z ~from ~cap ~last =
     if i = cap then if last = cap then None else Some (last + 1)
     else
       match cert with
-      | Some c when last < i && c.gain *. energy c z < k.limit -> Some (last + 1)
+      | Some c when last < i && c.gain *. energy c z < limit -> Some (last + 1)
       | Some _ | None ->
         step k mode z;
         go (i + 1) last

@@ -29,9 +29,9 @@
 
 type t
 
-val make : ?threshold:float -> Plant.t -> Switched.gains -> t
-(** The kernel of one plant, gain pair and band (default
-    {!Settle.default_threshold}).  Solves the two Lyapunov equations, on
+val make : Plant.t -> Switched.gains -> t
+(** The kernel of one plant and gain pair, measuring against
+    {!Settle.threshold}.  Solves the two Lyapunov equations, on
     {!Feedback.closed_loop_et} and {!Feedback.closed_loop_tt}. *)
 
 val pure : t -> Switched.mode -> int option

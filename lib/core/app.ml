@@ -7,19 +7,10 @@ type t = {
   table : Dwell.t;
 }
 
-let make ?cache ?threshold ?stride ~name ~plant ~gains ~r ~j_star () =
+let make ?cache ~name ~plant ~gains ~r ~j_star () =
   if j_star >= r then
     invalid_arg "App.make: the sporadic model requires J* < r";
-  (match stride with
-   | Some s when s > 1 ->
-     (* Appspec indexes its arrays by raw wait, so a strided (shorter)
-        table cannot be bridged; reject up front with a real message
-        instead of the confusing length error Appspec.make would give *)
-     invalid_arg
-       "App.make: stride > 1 tables are analysis-only; the scheduler \
-        layer needs one row per wait (stride 1)"
-   | _ -> ());
-  let table = Dwell.compute ?cache ?threshold ?stride plant gains ~j_star in
+  let table = Dwell.compute ?cache plant gains ~j_star in
   (* fail early if the spec would be rejected by the scheduler layer *)
   let _ : Sched.Appspec.t =
     Sched.Appspec.make ~id:0 ~name ~t_w_max:table.Dwell.t_w_max

@@ -14,8 +14,6 @@ type t = {
 
 val make :
   ?cache:Dwell.cache ->
-  ?threshold:float ->
-  ?stride:int ->
   name:string ->
   plant:Control.Plant.t ->
   gains:Control.Switched.gains ->
@@ -23,15 +21,13 @@ val make :
   j_star:int ->
   unit ->
   t
-(** Compute the dwell tables and package the application.  [cache]
-    memoises (and, with a persistent backing, reloads) the table
-    computation.
+(** Compute the dwell tables, one row per wait, and package the
+    application.  [cache] memoises (and, with a persistent backing,
+    reloads) the table computation.
     @raise Dwell.Infeasible when the requirement cannot be met.
     @raise Invalid_argument when [r] is too small for the sporadic
     model (it must exceed every wait + maximum dwell, and the paper
-    additionally assumes [J* < r]), or when [stride > 1]: strided
-    tables are analysis-only — the scheduler bridge needs one row per
-    wait. *)
+    additionally assumes [J* < r]). *)
 
 val spec : t -> id:int -> Sched.Appspec.t
 (** The scheduler-facing view under a dense per-slot index. *)

@@ -1,10 +1,10 @@
 type t = { w_star : int; c_occ : int }
 
-let compute ?threshold p g ~j_star =
+let compute p g ~j_star =
   (* settling when waiting t_w and then holding the slot to rejection:
      w_star is the longest wait that still meets J*, c_occ the longest
      hold among the waits up to it *)
-  let k = Control.Settle_kernel.make ?threshold p g in
+  let k = Control.Settle_kernel.make p g in
   let rec scan t_w c_occ =
     match Control.Settle_kernel.hold k ~t_w with
     | Some j when j <= j_star -> scan (t_w + 1) (Int.max c_occ (j - t_w))

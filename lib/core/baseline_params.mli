@@ -9,12 +9,7 @@
 
 type t = { w_star : int; c_occ : int }
 
-val compute :
-  ?threshold:float ->
-  Control.Plant.t ->
-  Control.Switched.gains ->
-  j_star:int ->
-  t
+val compute : Control.Plant.t -> Control.Switched.gains -> j_star:int -> t
 (** @raise Dwell.Infeasible when even an immediate grant cannot meet
     the budget. *)
 

@@ -24,9 +24,9 @@ let counting_samples k f =
           (Control.Settle_kernel.samples k - before))
     f
 
-let surface ?threshold p g ~t_w_max ~t_dw_max =
+let surface p g ~t_w_max ~t_dw_max =
   Obs.Span.with_ "dwell.surface" (fun () ->
-      let k = Control.Settle_kernel.make ?threshold p g in
+      let k = Control.Settle_kernel.make p g in
       let s =
         counting_samples k (fun () ->
             List.concat
@@ -160,7 +160,7 @@ type cache = t Par.Vcache.t
 
 let create_cache ?backing () = Par.Vcache.create ~label:"dwell" ?backing ()
 
-let fingerprint ?threshold ?(stride = 1) (p : Control.Plant.t) (g : Control.Switched.gains) ~j_star =
+let fingerprint ?(stride = 1) (p : Control.Plant.t) (g : Control.Switched.gains) ~j_star =
   let fl x = Printf.sprintf "%h" x in
   let arr a = String.concat "," (Array.to_list (Array.map fl a)) in
   let mat (m : Linalg.Mat.t) =
@@ -176,12 +176,15 @@ let fingerprint ?threshold ?(stride = 1) (p : Control.Plant.t) (g : Control.Swit
       fl p.Control.Plant.h;
       arr g.Control.Switched.kt;
       arr g.Control.Switched.ke;
-      (match threshold with None -> "default" | Some x -> fl x);
+      (* the settling band's field: always Control.Settle.threshold,
+         written as the literal existing keys carry, so the tables a
+         store already holds still match *)
+      "default";
       string_of_int stride;
       string_of_int j_star;
     ]
 
-let compute ?cache ?threshold ?(stride = 1) p g ~j_star =
+let compute ?cache ?(stride = 1) p g ~j_star =
   if stride < 1 then invalid_arg "Dwell.compute: stride must be >= 1";
   if j_star < 1 then invalid_arg "Dwell.compute: j_star must be >= 1";
   let compute_impl () =
@@ -192,7 +195,7 @@ let compute ?cache ?threshold ?(stride = 1) p g ~j_star =
     infeasible "TT closed loop is unstable";
   if not (Linalg.Eig.is_schur_stable a_et) then
     infeasible "ET closed loop is unstable";
-  let k = Control.Settle_kernel.make ?threshold p g in
+  let k = Control.Settle_kernel.make p g in
   counting_samples k @@ fun () ->
   let jt =
     match Control.Settle_kernel.pure k Control.Switched.Mt with
@@ -235,7 +238,7 @@ let compute ?cache ?threshold ?(stride = 1) p g ~j_star =
   | None -> compute_impl ()
   | Some c ->
     Par.Vcache.find_or_add c
-      (fingerprint ?threshold ~stride p g ~j_star)
+      (fingerprint ~stride p g ~j_star)
       compute_impl
 
 let deadline t ~t_w =

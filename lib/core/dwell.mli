@@ -45,19 +45,13 @@ type cache = t Par.Vcache.t
 val create_cache : ?backing:t Par.Vcache.backing -> unit -> cache
 
 val fingerprint :
-  ?threshold:float ->
-  ?stride:int ->
-  Control.Plant.t ->
-  Control.Switched.gains ->
-  j_star:int ->
-  string
+  ?stride:int -> Control.Plant.t -> Control.Switched.gains -> j_star:int -> string
 (** Injective serialisation of every input {!compute} depends on
-    (plant matrices, gains, sampling period, threshold, stride, j_star);
-    floats are rendered in lossless [%h] notation. *)
+    (plant matrices, gains, sampling period, stride, j_star); floats
+    are rendered in lossless [%h] notation. *)
 
 val compute :
   ?cache:cache ->
-  ?threshold:float ->
   ?stride:int ->
   Control.Plant.t ->
   Control.Switched.gains ->
@@ -87,7 +81,6 @@ val waits : t -> int list
 (** The simulated waits, in order: [0; stride; ...; t_w_max]. *)
 
 val surface :
-  ?threshold:float ->
   Control.Plant.t ->
   Control.Switched.gains ->
   t_w_max:int ->

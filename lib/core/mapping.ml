@@ -120,10 +120,10 @@ let probe ?cache specs =
   probe_metrics dt src;
   (v, src)
 
-let first_fit ?cache ?verifier ?(presorted = false) apps =
+let first_fit ?cache ?verifier apps =
   let screen, verifier = screened_verifier verifier in
   Obs.Span.with_ "mapping.first_fit" @@ fun () ->
-  let apps = if presorted then apps else sort_order apps in
+  let apps = sort_order apps in
   let count = ref 0 and undetermined = ref 0 in
   (* one safety question.  Cache hits count too: [verifications]
      stays the number of questions asked, not engine runs performed,

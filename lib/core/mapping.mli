@@ -61,14 +61,8 @@ val default_verifier : verifier
     [~verifier] to a mapper gives the engine-only run the differential
     tests compare against. *)
 
-val first_fit :
-  ?cache:cache ->
-  ?verifier:verifier ->
-  ?presorted:bool ->
-  App.t list ->
-  outcome
-(** Run the mapping.  When [presorted] is false (default) the input is
-    sorted with {!sort_order} first.
+val first_fit : ?cache:cache -> ?verifier:verifier -> App.t list -> outcome
+(** Run the mapping over the input sorted with {!sort_order}.
 
     [cache] memoises verdicts by {!fingerprint}; pass the same cache to
     both mappers (or across calls) to skip repeated probes of the same

@@ -27,9 +27,9 @@ let worst_settling_of (a : App.t) ~worst_wait =
     (Dwell.waits t);
   !worst
 
-let analyse ?policy ~apps () =
+let analyse apps =
   let specs = Mapping.specs_of_group apps in
-  let result = Dverify.verify ?policy specs in
+  let result = Dverify.verify specs in
   let safe =
     (* unbudgeted run: Undetermined cannot occur, but margins would be
        meaningless without a safety proof anyway *)

@@ -28,11 +28,7 @@ type row = {
 
 type report = { rows : row list; safe : bool }
 
-val analyse :
-  ?policy:Sched.Slot_state.policy ->
-  apps:App.t list ->
-  unit ->
-  report
+val analyse : App.t list -> report
 (** Exhaustively verify the group and derive the margins.  When the
     group is unsafe, [safe] is false and the rows are meaningless
     (exploration stops at the first counterexample). *)

@@ -17,5 +17,5 @@ let response ?horizon p g ~t_w ~t_dw =
   Control.Switched.run p g (mode_at ~t_w ~t_dw) (Control.Switched.disturbed p)
     horizon
 
-let settling ?threshold ?horizon p g ~t_w ~t_dw =
-  Control.Settle.settling_index ?threshold (response ?horizon p g ~t_w ~t_dw)
+let settling ?horizon p g ~t_w ~t_dw =
+  Control.Settle.settling_index (response ?horizon p g ~t_w ~t_dw)

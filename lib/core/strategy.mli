@@ -30,7 +30,6 @@ val response :
     settling decisions). *)
 
 val settling :
-  ?threshold:float ->
   ?horizon:int ->
   Control.Plant.t ->
   Control.Switched.gains ->

@@ -57,7 +57,7 @@ type trial = {
   t_bus_overruns : int;
 }
 
-let run ?policy ?threshold ?bus ~spec ~seed ~runs ~horizon slots =
+let run ?bus ~spec ~seed ~runs ~horizon slots =
   if runs < 1 then invalid_arg "Campaign.run: runs must be positive";
   if horizon < 1 then invalid_arg "Campaign.run: horizon must be positive";
   let n_slots = List.length slots in
@@ -81,7 +81,7 @@ let run ?policy ?threshold ?bus ~spec ~seed ~runs ~horizon slots =
       match Faults.Plan.materialize ~spec ~seed:plan_seed ~apps:names ~horizon with
       | Error e -> Error e
       | Ok plan -> (
-        let trace, fault_summary = Engine.run_with_faults ?policy ~plan scenario in
+        let trace, fault_summary = Engine.run_with_faults ~plan scenario in
         (* the same plan that shaped the control run drives the medium's
            loss hook, so link loss and held actuations tell one story *)
         match
@@ -90,8 +90,7 @@ let run ?policy ?threshold ?bus ~spec ~seed ~runs ~horizon slots =
         | exception Invalid_argument e -> Error e
         | bus_result ->
           let report =
-            Monitor.check ?threshold ~summary:fault_summary ?bus:bus_result
-              ~apps trace
+            Monitor.check ~summary:fault_summary ?bus:bus_result ~apps trace
           in
           Ok
             {

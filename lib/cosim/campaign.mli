@@ -36,8 +36,6 @@ type summary = {
 }
 
 val run :
-  ?policy:Sched.Slot_state.policy ->
-  ?threshold:float ->
   ?bus:Bus.configured ->
   spec:Faults.Spec.t ->
   seed:int64 ->

@@ -16,14 +16,13 @@ let violation_sample = function
   | Dwell_overrun { sample; _ }
   | Suppressed_arrival { sample } -> sample
 
-let settling_violations ?threshold (trace : Trace.t) (apps : Core.App.t array)
-    id =
+let settling_violations (trace : Trace.t) (apps : Core.App.t array) id =
   List.filter_map
     (fun (sample, id') ->
       if id' <> id then None
       else
         let j_star = apps.(id).Core.App.j_star in
-        match Trace.settling_after ?threshold trace ~id ~sample with
+        match Trace.settling_after trace ~id ~sample with
         | Some j when j <= j_star -> None
         | j -> Some (Settling_exceeded { sample; j; j_star }))
     trace.Trace.disturbances
@@ -78,7 +77,7 @@ let dwell_violations (trace : Trace.t) (spec : Sched.Appspec.t) id =
   in
   scan None [] trace.Trace.log
 
-let check ?threshold ?(summary = Engine.no_faults) ?bus ~apps (trace : Trace.t) =
+let check ?(summary = Engine.no_faults) ?bus ~apps (trace : Trace.t) =
   let apps = Array.of_list apps in
   let n = Array.length apps in
   if n <> Array.length trace.Trace.names then
@@ -86,7 +85,7 @@ let check ?threshold ?(summary = Engine.no_faults) ?bus ~apps (trace : Trace.t) 
   let specs = Array.mapi (fun i a -> Core.App.spec a ~id:i) apps in
   let verdicts =
     List.init n (fun id ->
-        let settling = settling_violations ?threshold trace apps id in
+        let settling = settling_violations trace apps id in
         let waits =
           List.filter_map
             (fun (e : Sched.Arbiter.log_entry) ->

@@ -42,7 +42,6 @@ type report = {
 }
 
 val check :
-  ?threshold:float ->
   ?summary:Engine.fault_summary ->
   ?bus:Bus_check.result ->
   apps:Core.App.t list ->

@@ -5,7 +5,7 @@ type report = {
   tt_samples : (string * int) list;
 }
 
-let run ?policy ~slots ~disturbances ~horizon () =
+let run ~slots ~disturbances ~horizon =
   let names_of group = List.map (fun (a : Core.App.t) -> a.Core.App.name) group in
   let all_names = List.concat_map names_of slots in
   if List.length (List.sort_uniq compare all_names) <> List.length all_names
@@ -25,7 +25,7 @@ let run ?policy ~slots ~disturbances ~horizon () =
         let scenario =
           Scenario.make ~apps:group ~disturbances:mine ~horizon
         in
-        (names, group, Engine.run ?policy scenario))
+        (names, group, Engine.run scenario))
       slots
   in
   let settlings =
@@ -60,10 +60,10 @@ let run ?policy ~slots ~disturbances ~horizon () =
 let bus_validate ~bus ?loss ?h_us t =
   Bus_check.validate_slots ~bus ?loss ?h_us t.slots
 
-let of_mapping ?policy (outcome : Core.Mapping.outcome) ~disturbances ~horizon =
-  run ?policy
+let of_mapping (outcome : Core.Mapping.outcome) ~disturbances ~horizon =
+  run
     ~slots:(List.map (fun s -> s.Core.Mapping.apps) outcome.Core.Mapping.slots)
-    ~disturbances ~horizon ()
+    ~disturbances ~horizon
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -17,11 +17,9 @@ type report = {
 }
 
 val run :
-  ?policy:Sched.Slot_state.policy ->
   slots:Core.App.t list list ->
   disturbances:(int * string) list ->
   horizon:int ->
-  unit ->
   report
 (** @raise Invalid_argument on an app name not present in any slot, an
     app present in two slots, or invalid per-slot scenarios (see
@@ -33,7 +31,6 @@ val bus_validate :
     {!Bus_check.validate_slots}). *)
 
 val of_mapping :
-  ?policy:Sched.Slot_state.policy ->
   Core.Mapping.outcome ->
   disturbances:(int * string) list ->
   horizon:int ->

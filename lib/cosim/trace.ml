@@ -7,7 +7,7 @@ type t = {
   disturbances : (int * int) list;
 }
 
-let settling_after ?threshold t ~id ~sample =
+let settling_after t ~id ~sample =
   let y = t.outputs.(id) in
   let len = Array.length y in
   if sample < 0 || sample >= len then invalid_arg "Trace.settling_after";
@@ -19,7 +19,7 @@ let settling_after ?threshold t ~id ~sample =
       len t.disturbances
   in
   let suffix = Array.sub y sample (stop - sample) in
-  Control.Settle.settling_index ?threshold suffix
+  Control.Settle.settling_index suffix
 
 let tt_samples t ~id =
   Array.fold_left
@@ -49,11 +49,11 @@ let owner_intervals t =
    | None -> ());
   List.rev !acc
 
-let meets_requirements ?threshold t apps =
+let meets_requirements t apps =
   let apps = Array.of_list apps in
   List.for_all
     (fun (sample, id) ->
-      match settling_after ?threshold t ~id ~sample with
+      match settling_after t ~id ~sample with
       | Some j -> j <= apps.(id).Core.App.j_star
       | None -> false)
     t.disturbances

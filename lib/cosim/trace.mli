@@ -9,8 +9,7 @@ type t = {
   disturbances : (int * int) list;  (** (sample, id) *)
 }
 
-val settling_after :
-  ?threshold:float -> t -> id:int -> sample:int -> int option
+val settling_after : t -> id:int -> sample:int -> int option
 (** Settling index of application [id] measured from the disturbance at
     [sample] (in samples since the disturbance); [None] when the tail
     has not settled within the trace. *)
@@ -21,7 +20,7 @@ val tt_samples : t -> id:int -> int
 val owner_intervals : t -> (int * int * int) list
 (** Maximal ownership intervals [(id, first, last)] (inclusive). *)
 
-val meets_requirements : ?threshold:float -> t -> Core.App.t list -> bool
+val meets_requirements : t -> Core.App.t list -> bool
 (** Every disturbance of every app settles within its [J*]. *)
 
 val to_rows : t -> stride:int -> string list

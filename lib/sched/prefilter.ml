@@ -10,39 +10,32 @@ type decision = Analytic_safe | Analytic_unsafe of witness | Inconclusive
 
    While application [i] waits, every slot update serves some
    competitor [j].  One grant of [j] occupies at most [quantum j]
-   samples before the contended slot is handed over: under
-   Eager_preempt the occupant is preempted at its minimum dwell
-   whenever somebody waits (and an occupant already past it hands over
-   immediately), so the quantum is the largest T⁻_dw entry; under
-   Lazy_preempt the occupant may run to its maximum dwell, so the
-   largest T⁺_dw entry.  Consecutive grants of [j] start at least
-   [r_j - T*_w(j)] samples apart: the next disturbance arrives at
+   samples before the contended slot is handed over: under eager
+   preemption the occupant is preempted at its minimum dwell whenever
+   somebody waits (and an occupant already past it hands over
+   immediately), so the quantum is the largest T⁻_dw entry.
+   Consecutive grants of [j] start at least [r_j - T*_w(j)] samples
+   apart: the next disturbance arrives at
    least [r_j] after the previous one, and the previous grant started
    at most [T*_w(j)] after that previous arrival (later would already
    be a miss, and the bound only has to hold on miss-free prefixes —
    the first miss is what the fixed point excludes). *)
 
-let quantum policy (s : Appspec.t) =
-  let table =
-    match policy with
-    | Slot_state.Eager_preempt -> s.Appspec.t_dw_min
-    | Slot_state.Lazy_preempt -> s.Appspec.t_dw_max
-  in
-  Array.fold_left Int.max 0 table
+let quantum (s : Appspec.t) = Array.fold_left Int.max 0 s.Appspec.t_dw_min
 
 (* grants of [j] whose occupancy can intersect a window of [s]
    samples: start points at least [period] apart inside an interval of
    [s + c] samples (one quantum of carry-in) *)
 let grants_in ~period ~c s = (((s + c - 1) / period) + 1) * c
 
-let busy_window ?(policy = Slot_state.Eager_preempt) specs i =
+let busy_window specs i =
   let deadline = specs.(i).Appspec.t_w_max in
   let interference s =
     let acc = ref 0 in
     Array.iteri
       (fun j (sp : Appspec.t) ->
         if j <> i then begin
-          let c = quantum policy sp in
+          let c = quantum sp in
           let period = Int.max 1 (sp.Appspec.r - sp.Appspec.t_w_max) in
           acc := !acc + grants_in ~period ~c s
         end)
@@ -57,12 +50,12 @@ let busy_window ?(policy = Slot_state.Eager_preempt) specs i =
   in
   iterate 0 0
 
-let accepts ?policy specs =
+let accepts specs =
   let n = Array.length specs in
   let rec go i =
     i >= n
     ||
-    match busy_window ?policy specs i with
+    match busy_window specs i with
     | Some _ -> go (i + 1)
     | None -> false
   in
@@ -108,13 +101,13 @@ let overload_trigger specs =
   in
   u > 1.
 
-let saturate ?policy specs ~order ~horizon =
+let saturate specs ~order ~horizon =
   let rec run st steps t =
     if t >= horizon then None
     else begin
       let disturbed = order (Slot_state.disturbable specs st) in
       let st', (outcome : Slot_state.outcome) =
-        Slot_state.tick ?policy specs st ~disturbed
+        Slot_state.tick specs st ~disturbed
       in
       let steps = (disturbed, st') :: steps in
       match outcome.Slot_state.new_errors with
@@ -137,7 +130,7 @@ let arrival_orders specs =
     by_t_w (fun a b -> compare b a);
   ]
 
-let rejects ?policy specs =
+let rejects specs =
   if Array.length specs < 2 || not (overload_trigger specs) then None
   else begin
     let horizon =
@@ -146,20 +139,20 @@ let rejects ?policy specs =
     let rec try_orders = function
       | [] -> None
       | order :: rest -> (
-        match saturate ?policy specs ~order ~horizon with
+        match saturate specs ~order ~horizon with
         | Some _ as w -> w
         | None -> try_orders rest)
     in
     try_orders (arrival_orders specs)
   end
 
-let decide ?policy specs =
-  if accepts ?policy specs then begin
+let decide specs =
+  if accepts specs then begin
     Obs.Metric.count "prefilter.accepts" 1;
     Analytic_safe
   end
   else
-    match rejects ?policy specs with
+    match rejects specs with
     | Some w ->
       Obs.Metric.count "prefilter.rejects" 1;
       Analytic_unsafe w

@@ -14,9 +14,8 @@
       dwell-table abstraction ({!Appspec.t}).  While an application
       waits, every competitor occupies the slot for at most its
       largest minimum dwell per grant (the occupant is preempted as
-      soon as its minimum dwell is honoured whenever somebody waits —
-      under {!Slot_state.Lazy_preempt} the bound weakens to the
-      largest maximum dwell), and consecutive grants of one competitor
+      soon as its minimum dwell is honoured whenever somebody waits),
+      and consecutive grants of one competitor
       start at least [r - T*_w] samples apart (a new disturbance may
       arrive [r] after the previous one, and the previous grant
       started at most [T*_w] after that previous arrival).  If the
@@ -40,7 +39,12 @@
     Unsafe — the differential battery in [test/test_prefilter.ml]
     checks exactly these two implications on random groups.
     Everything else is {!Inconclusive} and must fall through to the
-    engine. *)
+    engine.
+
+    Both sides assume the paper's eager preemption
+    ({!Slot_state.Eager_preempt}), the policy of every mapper; a group
+    verified under {!Slot_state.Lazy_preempt} goes to the engine
+    unscreened. *)
 
 type witness = {
   steps : (int list * Slot_state.t) list;
@@ -52,22 +56,22 @@ type witness = {
 
 type decision = Analytic_safe | Analytic_unsafe of witness | Inconclusive
 
-val busy_window : ?policy:Slot_state.policy -> Appspec.t array -> int -> int option
+val busy_window : Appspec.t array -> int -> int option
 (** [busy_window specs i] is the least fixed point of the interference
-    sum for application [i] (default policy {!Slot_state.Eager_preempt}),
-    or [None] when the iteration exceeds [T*_w(i)] — an upper bound on
+    sum for application [i], or [None] when the iteration exceeds
+    [T*_w(i)] — an upper bound on
     the wait of [i] at any grant, valid in every reachable schedule of
     the group. *)
 
-val accepts : ?policy:Slot_state.policy -> Appspec.t array -> bool
+val accepts : Appspec.t array -> bool
 (** Every application's {!busy_window} is within its [T*_w]. *)
 
-val rejects : ?policy:Slot_state.policy -> Appspec.t array -> witness option
+val rejects : Appspec.t array -> witness option
 (** A saturation schedule missing a deadline, when the demand-bound
     trigger fires and one of the simulated arrival orders exhibits
     one. *)
 
-val decide : ?policy:Slot_state.policy -> Appspec.t array -> decision
+val decide : Appspec.t array -> decision
 (** {!accepts}, then {!rejects}, then {!Inconclusive}.  Publishes the
     [prefilter.accepts] / [prefilter.rejects] / [prefilter.fallbacks]
     counters when observability is enabled. *)

@@ -125,7 +125,7 @@ module Make (S : STATE_SPACE) = struct
   let run ?(order = Bfs) ?(exact = true) ?coverage ?max_states
       ?(max_states_check = `Insert) ?deadline ?(deadline_mask = 255)
       ?(target_check = `Insert) ?on_edge ?on_insert ?(initial_peak = 0)
-      ?metrics_prefix ?(heartbeat = 1024) initial =
+      ?metrics_prefix initial =
     let t0 = Obs.Clock.now () in
     (* dense state store: insertion order assigns ids; the parent table
        (parent id, -1 for the initial state, and the label of the step
@@ -243,9 +243,8 @@ module Make (S : STATE_SPACE) = struct
     let exhausted = ref None in
     let pops = ref 0 in
     let engine = match metrics_prefix with Some p -> p | None -> "search" in
-    (* a heartbeat fires every [heartbeat] pops *)
     let heartbeat_tick () =
-      if !pops mod heartbeat = 0 && Obs.Event.enabled () then begin
+      if !pops mod 1024 = 0 && Obs.Event.enabled () then begin
         let dt = Obs.Clock.now () -. t0 in
         Obs.Event.emit "search.heartbeat"
           [

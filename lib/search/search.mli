@@ -87,7 +87,6 @@ module Make (S : STATE_SPACE) : sig
     ?on_insert:(S.state -> unit) ->
     ?initial_peak:int ->
     ?metrics_prefix:string ->
-    ?heartbeat:int ->
     S.state ->
     result
   (** Explore from the initial state until a target is found, the
@@ -121,7 +120,7 @@ module Make (S : STATE_SPACE) : sig
       add only their engine-specific counters.
 
       With the {!Obs.Event} stream enabled, the run emits a
-      ["search.heartbeat"] event every [heartbeat] pops (default 1024)
+      ["search.heartbeat"] event every 1024 pops
       carrying live progress — states, transitions, frontier depth,
       dedup/coverage hit counts and the running states-per-second —
       and one ["search.done"] event with the outcome. *)

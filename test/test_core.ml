@@ -651,7 +651,7 @@ let test_lazy_policy_can_break_groups () =
 
 let test_margin_single_app () =
   let a = app "A" 120 in
-  let r = Core.Margin.analyse ~apps:[ a ] () in
+  let r = Core.Margin.analyse [ a ] in
   check_bool "safe" true r.Core.Margin.safe;
   match r.Core.Margin.rows with
   | [ row ] ->
@@ -666,7 +666,7 @@ let test_margin_single_app () =
 
 let test_margin_pair_within_budget () =
   let a = app "A" 150 and b = app "B" 150 in
-  let r = Core.Margin.analyse ~apps:[ a; b ] () in
+  let r = Core.Margin.analyse [ a; b ] in
   check_bool "safe" true r.Core.Margin.safe;
   List.iter
     (fun row ->

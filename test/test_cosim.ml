@@ -165,7 +165,7 @@ let test_system_routes_disturbances () =
     Cosim.System.run
       ~slots:[ [ a; b ]; [ c ] ]
       ~disturbances:[ (0, "A"); (0, "C"); (5, "B") ]
-      ~horizon:80 ()
+      ~horizon:80
   in
   check_int "two slots" 2 (List.length report.Cosim.System.slots);
   check_int "three settlings" 3 (List.length report.Cosim.System.settlings);
@@ -181,12 +181,12 @@ let test_system_validation () =
     (raises (fun () ->
          ignore
            (Cosim.System.run ~slots:[ [ a ]; [ a ] ] ~disturbances:[]
-              ~horizon:10 ())));
+              ~horizon:10)));
   check_bool "unmapped app" true
     (raises (fun () ->
          ignore
            (Cosim.System.run ~slots:[ [ a; b ] ]
-              ~disturbances:[ (0, "Z") ] ~horizon:10 ())))
+              ~disturbances:[ (0, "Z") ] ~horizon:10)))
 
 let test_system_of_mapping () =
   let apps = [ app "A"; app "B" ] in
@@ -206,7 +206,7 @@ let test_bus_check_facts_hold () =
     Cosim.System.run
       ~slots:[ [ a; b ]; [ c ] ]
       ~disturbances:[ (0, "A"); (0, "C"); (5, "B") ]
-      ~horizon:60 ()
+      ~horizon:60
   in
   let r =
     Cosim.System.bus_validate ~bus:Flexray.Backend.default report
@@ -222,7 +222,7 @@ let test_bus_check_facts_hold () =
 let test_bus_check_validation () =
   let a = app "A" in
   let report =
-    Cosim.System.run ~slots:[ [ a ] ] ~disturbances:[] ~horizon:5 ()
+    Cosim.System.run ~slots:[ [ a ] ] ~disturbances:[] ~horizon:5
   in
   let tiny =
     Flexray.Backend.configured

@@ -111,36 +111,6 @@ let prop_soundness =
           QCheck2.Test.fail_report
             "screen rejected a group the engine does not refute"))
 
-(* accepted groups must also agree under the lazy-preemption policy
-   when screened for it (the quantum switches to the max dwell) *)
-let prop_soundness_lazy =
-  QCheck2.Test.make ~name:"lazy-policy accepts imply lazy-engine Safe"
-    ~count:150 ~print:pp_group gen_group (fun specs ->
-      match
-        Sched.Prefilter.decide ~policy:Sched.Slot_state.Lazy_preempt specs
-      with
-      | Sched.Prefilter.Analytic_safe -> (
-        match
-          (Core.Dverify.verify ~policy:Sched.Slot_state.Lazy_preempt specs)
-            .Core.Dverify.verdict
-        with
-        | Core.Dverify.Safe -> true
-        | _ ->
-          QCheck2.Test.fail_report
-            "lazy-policy accept contradicts the lazy engine")
-      | Sched.Prefilter.Analytic_unsafe w ->
-        (* the witness simulates under the same policy, so it must hold
-           for the lazy engine too *)
-        (match
-           (Core.Dverify.verify ~policy:Sched.Slot_state.Lazy_preempt specs)
-             .Core.Dverify.verdict
-         with
-         | Core.Dverify.Unsafe _ -> ignore w; true
-         | _ ->
-           QCheck2.Test.fail_report
-             "lazy-policy reject contradicts the lazy engine")
-      | Sched.Prefilter.Inconclusive -> true)
-
 (* ------------------------------------------------------------------ *)
 (* Boundary pins *)
 
@@ -265,8 +235,7 @@ let () =
   Alcotest.run "prefilter"
     [
       ( "soundness",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_soundness; prop_soundness_lazy ] );
+        [ QCheck_alcotest.to_alcotest prop_soundness ] );
       ( "boundaries",
         [
           Alcotest.test_case "busy window == deadline accepts" `Quick
