@@ -354,6 +354,28 @@ let test_fingerprint_canonical () =
           (Core.Mapping.fingerprint [| a |])
           (Core.Mapping.fingerprint [| a' |])))
 
+(* the full group key of three applications whose names carry every
+   delimiter of the encoding, one of them long enough that its length
+   prefix sorts it first: a store answers a verdict lookup only under a
+   byte-identical key *)
+let test_group_fingerprint_pinned () =
+  let app ~id ~name ~t_w_max ~dmin ~dmax ~r =
+    Sched.Appspec.make ~id ~name ~t_w_max
+      ~t_dw_min:(Array.init (t_w_max + 1) (fun w -> dmin + (w mod 3)))
+      ~t_dw_max:(Array.init (t_w_max + 1) (fun w -> dmax + w))
+      ~r
+  in
+  let g =
+    [|
+      app ~id:0 ~name:"b|1" ~t_w_max:3 ~dmin:2 ~dmax:9 ~r:40;
+      app ~id:1 ~name:"a,b;c|d,e;f|g" ~t_w_max:1 ~dmin:1 ~dmax:11 ~r:128;
+      app ~id:2 ~name:";" ~t_w_max:12 ~dmin:3 ~dmax:4 ~r:1024;
+    |]
+  in
+  check_string "three-app group key"
+    "3;13:a,b;c|d,e;f|g|1|1,2|11,12|128;1:;|12|3,4,5,3,4,5,3,4,5,3,4,5,3|4,5,6,7,8,9,10,11,12,13,14,15,16|1024;3:b|1|3|2,3,4,2|9,10,11,12|40"
+    (Core.Mapping.fingerprint g)
+
 (* the dwell-table key of C1, pinned by digest: a store answers a
    table lookup only under a byte-identical key, so any change to
    Dwell.fingerprint silently turns every persisted table into a miss *)
@@ -597,6 +619,8 @@ let () =
             test_fingerprint_canonical;
           Alcotest.test_case "C1 dwell key pinned" `Quick
             test_dwell_fingerprint_pinned;
+          Alcotest.test_case "group key pinned" `Quick
+            test_group_fingerprint_pinned;
         ] );
       ( "pcache",
         [
