@@ -55,6 +55,25 @@ type cache = verdict Par.Vcache.t
 let create_cache ?backing () = Par.Vcache.create ~label:"verdict" ?backing ()
 let cache_stats c = (Par.Vcache.hits c + Par.Vcache.disk_hits c, Par.Vcache.misses c)
 
+(* decimal digits straight into the buffer; [add_neg] takes [v <= 0] so
+   that [min_int] needs no negation *)
+let rec add_neg b v =
+  if v <= -10 then add_neg b (v / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (v mod 10)))
+
+let add_int b v =
+  if v < 0 then begin
+    Buffer.add_char b '-';
+    add_neg b v
+  end
+  else add_neg b (-v)
+
+let add_ints b a =
+  for i = 0 to Array.length a - 1 do
+    if i > 0 then Buffer.add_char b ',';
+    add_int b a.(i)
+  done
+
 let fingerprint specs =
   (* Injective canonical key.  The name — the only field an adversary
      (or an unlucky operator) controls — is length-prefixed, so a name
@@ -64,18 +83,61 @@ let fingerprint specs =
      terminator ';' occurs in none of them, so the whole string parses
      back unambiguously.  (The previous delimiter-joined scheme was
      injectable: name "A|1|3|4|9;B" aliased the two-app group {A, B} —
-     see the regression test in test/test_store.ml.) *)
-  let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
-  let entry (s : Sched.Appspec.t) =
-    Printf.sprintf "%d:%s|%d|%s|%s|%d"
-      (String.length s.Sched.Appspec.name)
-      s.Sched.Appspec.name s.Sched.Appspec.t_w_max
-      (ints s.Sched.Appspec.t_dw_min)
-      (ints s.Sched.Appspec.t_dw_max)
-      s.Sched.Appspec.r
+     see the regression test in test/test_store.ml.)
+
+     One buffer holds every entry, written once; the entries are
+     ordered as strings, and the key is the entry count, ';', and the
+     ordered entries joined by ';'. *)
+  let n = Array.length specs in
+  let b = Buffer.create 256 in
+  let starts = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    let s = specs.(i) in
+    starts.(i) <- Buffer.length b;
+    add_int b (String.length s.Sched.Appspec.name);
+    Buffer.add_char b ':';
+    Buffer.add_string b s.Sched.Appspec.name;
+    Buffer.add_char b '|';
+    add_int b s.Sched.Appspec.t_w_max;
+    Buffer.add_char b '|';
+    add_ints b s.Sched.Appspec.t_dw_min;
+    Buffer.add_char b '|';
+    add_ints b s.Sched.Appspec.t_dw_max;
+    Buffer.add_char b '|';
+    add_int b s.Sched.Appspec.r
+  done;
+  starts.(n) <- Buffer.length b;
+  let len i = starts.(i + 1) - starts.(i) in
+  let compare_entries i j =
+    let li = len i and lj = len j in
+    let c = ref 0 and k = ref 0 in
+    while !c = 0 && !k < li && !k < lj do
+      c :=
+        Char.compare
+          (Buffer.nth b (starts.(i) + !k))
+          (Buffer.nth b (starts.(j) + !k));
+      incr k
+    done;
+    if !c <> 0 then !c else Int.compare li lj
   in
-  let entries = List.sort compare (List.map entry (Array.to_list specs)) in
-  Printf.sprintf "%d;%s" (List.length entries) (String.concat ";" entries)
+  let order = Array.init n Fun.id in
+  Array.sort compare_entries order;
+  add_int b n;
+  let count = Buffer.length b - starts.(n) in
+  let key = Bytes.create (count + 1 + starts.(n) + Int.max 0 (n - 1)) in
+  Buffer.blit b starts.(n) key 0 count;
+  Bytes.set key count ';';
+  let pos = ref (count + 1) in
+  Array.iteri
+    (fun k i ->
+      if k > 0 then begin
+        Bytes.set key !pos ';';
+        incr pos
+      end;
+      Buffer.blit b starts.(i) key !pos (len i);
+      pos := !pos + len i)
+    order;
+  Bytes.unsafe_to_string key
 
 let apply_verifier ?cache verifier specs =
   match cache with
