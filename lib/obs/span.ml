@@ -72,13 +72,14 @@ let start name =
     let id = Trace_ctx.fresh_id () in
     let parent = Trace_ctx.current_parent () in
     let gc = Gc.quick_stat () in
+    let minor_w = Gc.minor_words () in
     with_lock (fun () ->
         Hashtbl.replace open_spans id
           {
             o_name = name;
             o_parent = parent;
             o_start = Clock.now ();
-            o_minor_w = gc.Gc.minor_words;
+            o_minor_w = minor_w;
             o_major_w = gc.Gc.major_words;
             o_compact = gc.Gc.compactions;
           });
@@ -89,6 +90,7 @@ let start name =
 let finish t =
   if t <> none then begin
     let now = Clock.now () in
+    let minor_w = Gc.minor_words () in
     let gc = Gc.quick_stat () in
     with_lock (fun () ->
         match Hashtbl.find_opt open_spans t with
@@ -102,7 +104,7 @@ let finish t =
               parent = o.o_parent;
               start_s = o.o_start;
               dur_s = now -. o.o_start;
-              gc_minor_w = gc.Gc.minor_words -. o.o_minor_w;
+              gc_minor_w = minor_w -. o.o_minor_w;
               gc_major_w = gc.Gc.major_words -. o.o_major_w;
               gc_compact = gc.Gc.compactions - o.o_compact;
             });

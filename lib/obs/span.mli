@@ -4,9 +4,10 @@
     computation, a model-check call, a whole CLI subcommand); nesting
     is tracked through {!Trace_ctx}, so a span started while another
     is open becomes its child.  Each span also records the GC work its
-    extent covered (minor/major words allocated, compactions), taken
-    as [Gc.quick_stat] deltas — on a multi-domain run the deltas are
-    those of whichever domain starts/finishes the span.
+    extent covered.  Minor words are exact and the starting domain's own
+    ([Gc.minor_words] deltas; a span starts and finishes on one domain).
+    Major words and compactions are [Gc.quick_stat] deltas, which
+    advance only at collections and sum every domain's work.
 
     Finished spans accumulate in a {e fixed-capacity ring} that
     {!Report.collect} drains: once full, the oldest record is
