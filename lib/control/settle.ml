@@ -15,12 +15,4 @@ let settling_index y =
     | Some k when k = n - 1 -> None (* still violating at the horizon *)
     | Some k -> Some (k + 1)
 
-let settling_time ~h y =
-  Option.map (fun j -> float_of_int j *. h) (settling_index y)
-
-let is_settled_within j y =
-  match settling_index y with
-  | None -> false
-  | Some i -> i <= j
-
 let peak y = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0. y

@@ -14,12 +14,5 @@ val settling_index : float array -> int option
     [None] when the final sample still violates the band (the trace is
     too short to conclude, or the system diverges). *)
 
-val settling_time : h:float -> float array -> float option
-(** {!settling_index} scaled by the sampling period, in seconds. *)
-
-val is_settled_within : int -> float array -> bool
-(** [is_settled_within j y] holds when the trace settles at or before
-    sample [j]. *)
-
 val peak : float array -> float
 (** Maximum [|y[k]|] over the trace; 0 on the empty trace. *)

@@ -144,8 +144,6 @@ let row_exn name t ~t_w a =
 
 let dw_min t ~t_w = row_exn "dw_min" t ~t_w t.t_dw_min
 let dw_max t ~t_w = row_exn "dw_max" t ~t_w t.t_dw_max
-let j_min t ~t_w = row_exn "j_min" t ~t_w t.j_at_min
-let j_max t ~t_w = row_exn "j_max" t ~t_w t.j_at_max
 
 let waits t = List.init (Array.length t.t_dw_min) (fun i -> i * t.stride)
 

@@ -29,8 +29,8 @@ type t = {
 }
 (** Rows are stored one per {e simulated} wait: with [stride > 1] the
     arrays are shorter than [t_w_max + 1] and the raw wait is {e not} a
-    valid index.  Prefer {!dw_min}/{!dw_max}/{!j_min}/{!j_max} (which
-    reject off-grid waits) over direct array indexing. *)
+    valid index.  Prefer {!dw_min}/{!dw_max} (which reject off-grid
+    waits) over direct array indexing. *)
 
 exception Infeasible of string
 (** Raised by {!compute} when the requirement cannot be met at all
@@ -65,17 +65,11 @@ val compute :
     memoised under {!fingerprint} (infeasible computations raise and
     are never cached).  @raise Infeasible (see above). *)
 
-val index_of_wait : t -> t_w:int -> int option
-(** The row index holding wait [t_w], or [None] when [t_w] is negative,
-    exceeds [t_w_max], or falls between stride grid points. *)
-
 val dw_min : t -> t_w:int -> int
 (** [T⁻_dw(t_w)].  @raise Invalid_argument on off-grid waits — the
     arrays are indexed by row, not by wait, whenever [stride > 1]. *)
 
 val dw_max : t -> t_w:int -> int
-val j_min : t -> t_w:int -> int
-val j_max : t -> t_w:int -> int
 
 val waits : t -> int list
 (** The simulated waits, in order: [0; stride; ...; t_w_max]. *)

@@ -248,10 +248,6 @@ let test_settling_threshold_and_time () =
   check_float "the paper's band" 0.02 Control.Settle.threshold;
   check_bool "0.05 is outside the band" true
     (Control.Settle.settling_index y = Some 2);
-  check_bool "seconds" true
-    (Control.Settle.settling_time ~h:0.02 y = Some 0.04);
-  check_bool "within" true (Control.Settle.is_settled_within 2 y);
-  check_bool "not within" false (Control.Settle.is_settled_within 1 y);
   check_float "peak" 1.0 (Control.Settle.peak y)
 
 (* ------------------------------------------------------------------ *)
