@@ -22,50 +22,70 @@ type result = { verdict : verdict; stats : stats }
 
 (* ------------------------------------------------------------------ *)
 (* Adversary moves: all subsets of the applications disturbable at the
-   coming tick ({!Sched.Slot_state.disturbable}), in every
+   coming tick ({!Sched.Slot_state.disturbable_mask}), in every
    service-relevant arrival order.  The EDF insertion is deterministic
    except among simultaneous arrivals with equal T*_w, so only
-   permutations within equal-T*_w groups are enumerated. *)
+   permutations within equal-T*_w groups are enumerated.
 
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-    List.concat_map
-      (fun x ->
-        let rest = List.filter (fun y -> y <> x) l in
-        List.map (fun p -> x :: p) (permutations rest))
-      l
-
-let rec subsets = function
-  | [] -> [ [] ]
-  | x :: rest ->
-    let tails = subsets rest in
-    tails @ List.map (fun t -> x :: t) tails
-
-(* arrival orders of [subset] that can produce distinct buffers *)
-let arrival_orders (specs : Sched.Appspec.t array) subset =
-  let groups = Hashtbl.create 4 in
-  List.iter
-    (fun id ->
-      let key = specs.(id).Sched.Appspec.t_w_max in
-      Hashtbl.replace groups key
-        (id :: Option.value ~default:[] (Hashtbl.find_opt groups key)))
-    subset;
-  let keys =
-    List.sort_uniq compare (Hashtbl.fold (fun k _ acc -> k :: acc) groups [])
-  in
-  let per_group = List.map (fun k -> permutations (Hashtbl.find groups k)) keys in
-  List.fold_left
-    (fun acc perms ->
-      List.concat_map (fun prefix -> List.map (fun p -> prefix @ p) perms) acc)
-    [ [] ] per_group
+   The order is part of the engine's result (a label is a move's index
+   and the depth-first search pushes moves in index order): subsets in
+   the order of [subsets (x :: r) = subsets r @ map (x ::) (subsets r)]
+   over the ascending ids, and within a subset the product of its
+   equal-T*_w groups (ascending T*_w, the first group varying slowest),
+   each group's members (descending ids) permuted in lexicographic order
+   of positions. *)
+let moves_of_set (specs : Sched.Appspec.t array) available =
+  let k = Array.length available in
+  let moves = ref [] in
+  let buf = Array.make k 0 in
+  for c = 0 to (1 lsl k) - 1 do
+    (* element [j] is in subset [c] when bit [k - 1 - j] is set *)
+    let subset =
+      List.filter
+        (fun j -> c land (1 lsl (k - 1 - j)) <> 0)
+        (List.init k Fun.id)
+      |> List.map (fun j -> available.(j))
+    in
+    let t_w id = specs.(id).Sched.Appspec.t_w_max in
+    let groups =
+      List.sort_uniq Int.compare (List.map t_w subset)
+      |> List.map (fun key ->
+             Array.of_list (List.rev (List.filter (fun id -> t_w id = key) subset)))
+      |> Array.of_list
+    in
+    let rec product gi base =
+      if gi = Array.length groups then moves := Array.sub buf 0 base :: !moves
+      else begin
+        let g = groups.(gi) in
+        let m = Array.length g in
+        let used = Array.make m false in
+        let rec permute depth =
+          if depth = m then product (gi + 1) (base + m)
+          else
+            for i = 0 to m - 1 do
+              if not used.(i) then begin
+                used.(i) <- true;
+                buf.(base + depth) <- g.(i);
+                permute (depth + 1);
+                used.(i) <- false
+              end
+            done
+        in
+        permute 0
+      end
+    in
+    product 0 0
+  done;
+  Array.of_list (List.rev !moves)
 
 (* ------------------------------------------------------------------ *)
 (* Explorer over packed states ({!Sched.Slot_state.Packed}): a state is
    a slot state plus, in bounded mode, the per-application remaining
-   disturbance budgets, encoded as one string.  The engine stores and
-   compares encodings; a popped state is decoded once and
-   {!Sched.Slot_state.tick} runs on it for each move.
+   disturbance budgets, encoded as an int array.  The engine stores and
+   compares encodings.  Expanding one decodes it into the run's working
+   form once per move, ticks it in place and encodes the successor into
+   the run's successor buffer; the search copies that buffer only when
+   it keeps the state.
 
    Two searches share it.  The engine is depth-first and prunes by the
    quiet-age antichain: a state whose [Safe] applications are all at
@@ -106,19 +126,11 @@ let orbit_max_wait part max_wait =
 
 module Packed = Sched.Slot_state.Packed
 
-(* disturbable sets, as ascending id lists *)
-module Ids = Hashtbl.Make (struct
-  type t = int list
-
-  let equal = List.equal Int.equal
-  let hash = List.fold_left (fun h i -> (h * 31) + i + 1) 0
-end)
-
 let explore ~reference ~policy ~instances ~deadline ~max_states specs =
   let n = Array.length specs in
-  (* the orbit partition the engine canonicalises by; the reference
-     does not quotient, and a group with no two identical applications
-     has nothing to quotient *)
+  (* the orbits the engine canonicalises by; the reference does not
+     quotient, and a group with no two identical applications has
+     nothing to quotient *)
   let quotient =
     if reference then None
     else
@@ -126,142 +138,111 @@ let explore ~reference ~policy ~instances ~deadline ~max_states specs =
       if Search.Symmetry.nontrivial p then Some p else None
   in
   let max_wait = Array.make n (-1) in
-  let bounded = instances <> None in
   let codec = Packed.layout ?instances specs in
-  let budgets s =
-    if bounded then Array.init n (Packed.budget codec s) else [||]
-  in
-  (* the move lists, memoised per disturbable set; each run owns its
-     memo, so runs on different domains share nothing *)
-  let memo = Ids.create 64 in
-  let moves_of st budget =
-    let available = Sched.Slot_state.disturbable specs st in
-    let available =
-      if bounded then List.filter (fun id -> budget.(id) > 0) available
-      else available
-    in
-    match Ids.find_opt memo available with
-    | Some moves -> moves
-    | None ->
-      let moves =
-        Array.of_list (List.concat_map (arrival_orders specs) (subsets available))
+  (* per-run scratch, so runs on different domains share nothing: the
+     working form every move is ticked in, and the buffers a successor
+     and its canonical relabelling are encoded into *)
+  let w = Packed.work codec in
+  let succ = Array.make (Packed.length codec) 0 in
+  let canon_buf = Array.make (Packed.length codec) 0 in
+  (* the moves of every disturbable set, memoised by its bit set (the
+     memo is created at the first expansion); each move lists the
+     disturbed ids in arrival order *)
+  let memo = ref [||] in
+  let moves_of mask =
+    if Array.length !memo = 0 then memo := Array.make (1 lsl n) [||];
+    let moves = !memo.(mask) in
+    if Array.length moves > 0 then moves
+    else begin
+      let available =
+        List.filter (fun id -> mask land (1 lsl id) <> 0) (List.init n Fun.id)
       in
-      Ids.add memo available moves;
+      let moves = moves_of_set specs (Array.of_list available) in
+      !memo.(mask) <- moves;
       moves
+    end
   in
   (* A transition label is one int: the move's index in its state's
-     move list, the single grant a tick can make (0 for none, else
-     1 + id * wspan + wait) and, in bit 0, whether the tick produced an
-     error.  The engine's [on_edge] reads the grant off the label. *)
-  let wspan =
-    1 + Array.fold_left (fun m s -> Int.max m s.Sched.Appspec.t_w_max) 0 specs
+     move list, above the single grant a tick can make
+     ({!Sched.Slot_state.grant}: 0 for none, else 1 + id + n * wait) in
+     the low [gbits] bits.  The engine's [on_edge] reads the grant off
+     the label. *)
+  let wmax =
+    Array.fold_left (fun m s -> Int.max m s.Sched.Appspec.t_w_max) 0 specs
   in
-  let gspan = 1 + (n * wspan) in
-  let label_of k (out : Sched.Slot_state.outcome) =
-    let grant =
-      match out.Sched.Slot_state.granted with
-      | [] -> 0
-      | [ (id, wt) ] -> 1 + (id * wspan) + wt
-      | _ :: _ :: _ -> invalid_arg "Dverify: more than one grant in a tick"
-    in
-    (((k * gspan) + grant) lsl 1)
-    lor match out.Sched.Slot_state.new_errors with [] -> 0 | _ :: _ -> 1
+  let gbits =
+    let rec go b = if (n * (wmax + 1)) lsr b = 0 then b else go (b + 1) in
+    go 0
   in
-  let move_of label = (label lsr 1) / gspan in
-  let grant_of label = (label lsr 1) mod gspan in
-  (* in bounded mode, an application with no budget left can never be
-     disturbed again, so its quiet countdown is behaviourally inert *)
-  let normalize st budget =
-    if bounded then
-      Sched.Slot_state.force_steady st ~keep_quiet:(fun i -> budget.(i) > 0)
-    else st
-  in
-  let encode st budget =
-    if bounded then Packed.encode codec ~budget st else Packed.encode codec st
-  in
-  let initial =
-    encode (Sched.Slot_state.initial specs)
-      (match instances with Some k -> Array.make n k | None -> [||])
-  in
-  (* the canonical relabelling: within each orbit of identical-parameter
-     applications, the per-application fields sorted by phase (real
-     quiet age included), disturbance budget and position in the shared
-     EDF buffer — the owner is the one running member.  The antichain
-     calls it once per generated successor. *)
-  let canon =
-    match quotient with
-    | None -> Fun.id
-    | Some part ->
-      let orbits =
-        Array.to_list (Search.Symmetry.orbits part)
-        |> List.filter_map (function
-             | [] | [ _ ] -> None
-             | members -> Some (Array.of_list members))
-      in
-      fun s ->
-        let c = Packed.sort_apps codec orbits s in
-        if c != s then Search.Symmetry.note_collapsed ();
-        c
-  in
+  let move_of label = label lsr gbits in
+  let initial = Array.make (Packed.length codec) 0 in
+  Packed.write codec w initial;
   let module Space = Search.Make (struct
-    type state = string
+    type state = int array
     type label = int
 
     module Key = struct
-      type t = string
+      type t = int array
 
-      let equal = String.equal
+      let equal (a : t) b = a = b
       let hash (k : t) = Hashtbl.hash k
     end
 
     (* only the reference dedups exactly, and it does not quotient *)
     let key = Fun.id
 
-    let successors s =
-      let st = Packed.decode codec s in
-      let budget = budgets s in
-      let moves = moves_of st budget in
-      let acc = ref [] in
-      for k = Array.length moves - 1 downto 0 do
-        let disturbed = moves.(k) in
-        let st', out = Sched.Slot_state.tick ~policy specs st ~disturbed in
-        let budget' =
-          if not bounded then budget
-          else begin
-            let b = Array.copy budget in
-            List.iter (fun id -> b.(id) <- b.(id) - 1) disturbed;
-            b
-          end
+    let successors s emit =
+      Packed.read codec s w;
+      let moves = moves_of (Sched.Slot_state.disturbable_mask specs w) in
+      for k = 0 to Array.length moves - 1 do
+        if k > 0 then Packed.read codec s w;
+        let events =
+          Sched.Slot_state.tick_into ~policy ~slot_available:true specs w
+            ~disturbed:moves.(k)
         in
-        acc := (label_of k out, encode (normalize st' budget') budget') :: !acc
-      done;
-      !acc
+        Packed.write codec w succ;
+        emit ((k lsl gbits) lor Sched.Slot_state.grant events) succ
+      done
 
-    let is_target label _ =
-      match label with Some l -> l land 1 = 1 | None -> false
+    let keep = Array.copy
+
+    (* stored states never hold an error (the search stops at the first
+       successor that does), so a successor in error got it from the
+       tick that produced it *)
+    let is_target s = Packed.has_error codec s
   end) in
   let coverage =
     if reference then None
     else
       Some
-        (Space.Coverage
-           {
-             split = (fun s -> Packed.split_ages codec (canon s));
-             ck_equal = String.equal;
-             ck_hash = Hashtbl.hash;
-             (* [explored] admits every behaviour of [ages]: pointwise
-                at least as close to becoming disturbable again (equal
-                keys have their [Safe] applications in the same
-                places) *)
-             covers =
-               (fun explored ages ->
-                 let ok = ref true and k = ref 0 in
-                 while !ok && !k < Array.length ages do
-                   if explored.(!k) < ages.(!k) then ok := false;
-                   incr k
-                 done;
-                 !ok);
-           })
+        {
+          (* the canonical relabelling: within each orbit of
+             identical-parameter applications, the per-application
+             fields sorted by phase (real quiet age included),
+             disturbance budget and position in the shared EDF buffer —
+             the owner is the one running member *)
+          Space.canon =
+            (match quotient with
+             | None -> Fun.id
+             | Some part ->
+               let orbits =
+                 Array.of_list
+                   (List.filter_map
+                      (function
+                        | [] | [ _ ] -> None
+                        | members -> Some (Array.of_list members))
+                      (Array.to_list (Search.Symmetry.orbits part)))
+               in
+               fun s ->
+                 let c = Packed.sort_apps codec orbits s ~into:canon_buf in
+                 if c != s then Search.Symmetry.note_collapsed ();
+                 c);
+          group_hash = Packed.hash_quiet codec;
+          group_equal = Packed.equal_quiet codec;
+          (* [explored] admits every behaviour of [candidate]: pointwise
+             at least as close to becoming disturbable again *)
+          covers = Packed.older codec;
+        }
   in
   let prefix = if reference then "dverify.reference" else "dverify" in
   let r =
@@ -270,9 +251,9 @@ let explore ~reference ~policy ~instances ~deadline ~max_states specs =
       ~exact:reference ?coverage ?max_states ~max_states_check:`Pop ?deadline
       ~deadline_mask:1023 ~target_check:`Generate
       ~on_edge:(fun label _ ->
-        let g = grant_of label in
+        let g = label land ((1 lsl gbits) - 1) in
         if g > 0 then begin
-          let id = (g - 1) / wspan and wt = (g - 1) mod wspan in
+          let id = (g - 1) mod n and wt = (g - 1) / n in
           if wt > max_wait.(id) then max_wait.(id) <- wt
         end)
       ~initial_peak:0 ~metrics_prefix:prefix initial
@@ -287,9 +268,9 @@ let explore ~reference ~policy ~instances ~deadline ~max_states specs =
       let steps, _ =
         List.fold_left
           (fun (acc, prev) (label, s) ->
-            let st = Packed.decode codec prev in
-            let disturbed = (moves_of st (budgets prev)).(move_of label) in
-            ((disturbed, Packed.decode codec s) :: acc, s))
+            Packed.read codec prev w;
+            let moves = moves_of (Sched.Slot_state.disturbable_mask specs w) in
+            ((Array.to_list moves.(move_of label), Packed.decode codec s) :: acc, s))
           ([], initial) r.Space.trace
       in
       (* the search stops at the first tick that produces an error, so
@@ -335,6 +316,9 @@ let run ~reference ~policy ~instances ?deadline ?max_states specs =
   (match instances with
    | Some k when k < 1 -> invalid_arg "Dverify: instances < 1"
    | _ -> ());
+  (* a disturbable set is an int bit set *)
+  if Array.length specs > 62 then
+    invalid_arg "Dverify: more than 62 applications in one group";
   Obs.Span.with_
     (if reference then "dverify.reference" else "dverify")
     (fun () -> explore ~reference ~policy ~instances ~deadline ~max_states specs)

@@ -81,7 +81,8 @@ val verify :
     different groups may run on different domains at once (as
     [serve]'s group shards do).  Deadline cut-offs are wall-clock
     dependent; every other result is a pure function of the group.
-    @raise Invalid_argument when [deadline <= 0] or [max_states < 1]. *)
+    @raise Invalid_argument when [deadline <= 0], [max_states < 1] or
+    the group has more than 62 applications. *)
 
 val verify_bounded :
   ?policy:Sched.Slot_state.policy ->

@@ -1,10 +1,10 @@
 (** The canonical single-slot scheduler semantics (paper Sec. 4).
 
-    One TT slot is shared by a group of applications.  The state is an
-    immutable value and {!tick} is the one-sample transition function;
-    both the runtime {!Arbiter} and the exact discrete verifier
-    ([core.Dverify]) are built on it, so the co-simulation and the
-    model checking cannot drift apart.
+    One TT slot is shared by a group of applications.  {!tick_into} is
+    the one-sample transition function, on a mutable {!work}ing form;
+    {!tick} runs it on an immutable state.  Both the runtime {!Arbiter}
+    and the exact discrete verifier ([core.Dverify]) are built on it, so
+    the co-simulation and the model checking cannot drift apart.
 
     Per-sample semantics (in order):
     + every application that is waiting or being served ages by one
@@ -92,14 +92,6 @@ val has_error : t -> bool
 val phase : t -> int -> phase
 val all_steady : t -> bool
 
-val force_steady : t -> keep_quiet:(int -> bool) -> t
-(** Snap every [Safe] application for which [keep_quiet id] is [false]
-    directly to [Steady].  This is an abstraction hook for verifiers:
-    when an application can provably never be disturbed again (e.g. its
-    disturbance budget is exhausted in bounded-instance verification),
-    its quiet countdown is behaviourally irrelevant and collapsing it
-    shrinks the state space. *)
-
 val disturbable : Appspec.t array -> t -> int list
 (** The applications that may legally be disturbed at the coming tick,
     ascending: those already [Steady], plus those whose quiet period
@@ -110,6 +102,53 @@ val disturbable : Appspec.t array -> t -> int list
 val equal : t -> t -> bool
 val pp : Appspec.t array -> Format.formatter -> t -> unit
 
+(** {2 The working form}
+
+    A mutable state of one group.  Per application it holds the fields
+    {!Packed} stores — phase tag, wait (or granted wait, or quiet age),
+    EDF position (or served dwell [ct]) and remaining disturbance
+    budget — as ints, plus the EDF buffer in service order and the
+    owner.  {!Packed.work} creates one, {!Packed.read} decodes into it
+    and {!Packed.write} encodes from it, so a verifier can tick a state
+    and store it without building a {!t}.
+
+    A working form is bounded when its layout bounds disturbance
+    instances: each arrival then spends one unit of its application's
+    budget, and a [Safe] application with no budget left returns to
+    [Steady] at once — it can never be disturbed again, so its quiet
+    countdown is behaviourally inert and collapsing it shrinks the state
+    space. *)
+
+type work
+
+val tick_into :
+  policy:policy ->
+  slot_available:bool ->
+  Appspec.t array ->
+  work ->
+  disturbed:int array ->
+  int
+(** {!tick} in place: [disturbed] lists the arrivals in order, and the
+    tick's events come back packed in one int, read with {!grant} and
+    {!erred}.  Allocates nothing.  On an exception the working form is
+    left in an unspecified state.
+    @raise Invalid_argument as {!tick} does, and on a bounded working
+    form when a disturbed application has no budget left. *)
+
+val grant : int -> int
+(** The grant in {!tick_into}'s result: [0] when nobody was granted the
+    slot, else [1 + id + n * wt] for the application [id] of an
+    [n]-application group granted it at wait [wt]. *)
+
+val erred : int -> bool
+(** Whether the tick behind {!tick_into}'s result put an application
+    in [Error]. *)
+
+val disturbable_mask : Appspec.t array -> work -> int
+(** {!disturbable} as a bit set (bit [id]), less the applications with
+    no budget left on a bounded working form.  Groups of at most 62
+    applications. *)
+
 (** A bijective bit-field codec for the states of one slot group.
 
     Every timing variable ranges over a small finite set fixed by the
@@ -118,41 +157,64 @@ val pp : Appspec.t array -> Format.formatter -> t -> unit
     position in the EDF buffer or the served dwell [ct], and — for
     bounded-instance verification — the remaining disturbance budget.
     [dt_min]/[dt_max] follow from the granted wait and the owner is the
-    one [Running] application, so they cost no bits.  The encoding is a
-    string of [ceil (bits / 8)] bytes, for any group size; equal
-    strings are equal states (with equal budgets).  Verifiers store,
-    deduplicate and subsume encodings and decode a state only to run
-    {!tick} on it. *)
+    one [Running] application, so they cost no bits.  The encoding is an
+    int array, each int holding whole fields (at most 62 bits), for any
+    group size; equal arrays are equal states (with equal budgets).
+    Verifiers store, deduplicate and subsume encodings, and {!read} one
+    into a {!work}ing form only to run {!tick_into} on it. *)
 module Packed : sig
   type layout
 
   val layout : ?instances:int -> Appspec.t array -> layout
   (** The field layout of [specs]' states; [instances] (default: no
-      budget field) bounds the per-application budget.  Any number of
-      applications fits; one application's field is [3 + bits(r - 1) +
-      bits(instances) + max (bits(n - 1)) (bits(max T⁺_dw))] bits.
+      budget field, unbounded working forms) bounds the
+      per-application budget.  Any number of applications fits; one
+      application's field is [3 + bits(r - 1) + bits(instances) + max
+      (bits(n - 1)) (bits(max T⁺_dw))] bits.
       @raise Invalid_argument on a negative [instances] or when one
       application's field would exceed 49 bits. *)
 
   val bits : layout -> int
   (** Bits in one encoding (summed over the applications). *)
 
-  val encode : layout -> ?budget:int array -> t -> string
-  (** [budget] (indexed by [Appspec.id], default all 0) is stored
-      beside the state.  Total on every state {!initial}, {!tick} and
-      {!force_steady} produce for the layout's specs.
-      @raise Invalid_argument on a state or budget outside the layout. *)
+  val length : layout -> int
+  (** Ints in one encoding. *)
 
-  val decode : layout -> string -> t
-  (** Inverse of {!encode}: [decode l (encode l ?budget t)] is [t].
-      @raise Invalid_argument on a string of the wrong length or whose
+  val work : layout -> work
+  (** A working form for the layout's group, in the initial state: every
+      application [Steady], with [instances] budget each when bounded. *)
+
+  val read : layout -> int array -> work -> unit
+  (** Decode an encoding into a working form of the same layout.
+      Allocates nothing.
+      @raise Invalid_argument on an array of the wrong length or whose
       fields cannot describe a state (unknown tag, a wait past [T*_w],
       a buffer position taken twice or left open, two owners). *)
 
-  val budget : layout -> string -> int -> int
+  val write : layout -> work -> int array -> unit
+  (** Encode a working form of the layout into an array of [length]
+      ints.
+      Allocates nothing.
+      @raise Invalid_argument on a field outside the layout. *)
+
+  val encode : layout -> ?budget:int array -> t -> int array
+  (** A fresh encoding of a state; [budget] (indexed by [Appspec.id],
+      default all 0) is stored beside it.  Total on every state
+      {!initial} and {!tick} produce for the layout's specs.
+      @raise Invalid_argument on a state or budget outside the layout. *)
+
+  val decode : layout -> int array -> t
+  (** Inverse of {!encode}: [decode l (encode l ?budget t)] is [t].
+      @raise Invalid_argument as {!read}. *)
+
+  val budget : layout -> int array -> int -> int
   (** The budget stored for one application. *)
 
-  val sort_apps : layout -> int array list -> string -> string
+  val has_error : layout -> int array -> bool
+  (** Some application of the encoded state is in [Error]. *)
+
+  val sort_apps :
+    layout -> int array array -> int array -> into:int array -> int array
   (** Within each group of applications (ids, ascending; the members
       must have identical timing parameters), reassign the
       per-application fields to the members in ascending order of
@@ -160,12 +222,23 @@ module Packed : sig
       those values, with phases ordered [Steady < Error < Waiting <
       Running < Safe] and by their payloads within a constructor.
       This is the symmetry quotient's canonical relabelling, computed
-      on the fields without decoding.  Physically the argument when
-      every group is already in order. *)
+      on the fields without decoding.  The argument itself when every
+      group is already in order, else [into] (of [length] ints)
+      holding the relabelled encoding.  Allocates nothing. *)
 
-  val split_ages : layout -> string -> string * int array
-  (** The quiet-age antichain's two halves of an encoding: the encoding
-      with every [Safe] application's age set to 0 (physically the
-      argument when that changes nothing), and those ages in id
-      order. *)
+  (** The quiet-age antichain's comparisons, without decoding or
+      allocating: two encodings are in one group when they are equal
+      once every [Safe] application's age is masked out, and within a
+      group one covers another when its ages are pointwise at least
+      as large. *)
+
+  val hash_quiet : layout -> int array -> int
+  (** A hash of the encoding with every [Safe] age masked out. *)
+
+  val equal_quiet : layout -> int array -> int array -> bool
+  (** Equal once every [Safe] age is masked out. *)
+
+  val older : layout -> int array -> int array -> bool
+  (** [older l a b], for [a] and [b] with [equal_quiet l a b]: every
+      [Safe] application is at least as old in [a] as in [b]. *)
 end

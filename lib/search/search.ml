@@ -18,8 +18,9 @@ module type STATE_SPACE = sig
   module Key : Hashtbl.HashedType
 
   val key : state -> Key.t
-  val successors : state -> (label * state) list
-  val is_target : label option -> state -> bool
+  val successors : state -> (label -> state -> unit) -> unit
+  val keep : state -> state
+  val is_target : state -> bool
 end
 
 (* Open addressing with linear probing over flat arrays, with equality
@@ -49,13 +50,14 @@ module Oa = struct
     if t.size = 0 then -1
     else begin
       let mask = Array.length t.hashes - 1 in
-      let rec probe i =
-        let hi = t.hashes.(i) in
-        if hi < 0 then -1
-        else if hi = h && t.equal t.keys.(i) k then i
-        else probe ((i + 1) land mask)
-      in
-      probe (h land mask)
+      let i = ref (h land mask) and slot = ref (-2) in
+      while !slot = -2 do
+        let hi = t.hashes.(!i) in
+        if hi < 0 then slot := -1
+        else if hi = h && t.equal t.keys.(!i) k then slot := !i
+        else i := (!i + 1) land mask
+      done;
+      !slot
     end
 
   let rec empty_slot t i =
@@ -66,7 +68,7 @@ module Oa = struct
   let add t h k v =
     if 2 * (t.size + 1) > Array.length t.hashes then begin
       let hashes = t.hashes and keys = t.keys and vals = t.vals in
-      let cap = Int.max 64 (2 * Array.length hashes) in
+      let cap = Int.max 16 (2 * Array.length hashes) in
       t.hashes <- Array.make cap (-1);
       t.keys <- Array.make cap k;
       t.vals <- Array.make cap v;
@@ -102,14 +104,12 @@ let rec drop_covered covers abs = function
     if covers abs e then rest' else if rest' == rest then l else e :: rest'
 
 module Make (S : STATE_SPACE) = struct
-  type coverage =
-    | Coverage : {
-        split : S.state -> 'ck * 'abs;
-        ck_equal : 'ck -> 'ck -> bool;
-        ck_hash : 'ck -> int;
-        covers : 'abs -> 'abs -> bool;
-      }
-        -> coverage
+  type coverage = {
+    canon : S.state -> S.state;
+    group_hash : S.state -> int;
+    group_equal : S.state -> S.state -> bool;
+    covers : S.state -> S.state -> bool;
+  }
 
   type outcome =
     | Found of S.state
@@ -130,21 +130,25 @@ module Make (S : STATE_SPACE) = struct
     (* dense state store: insertion order assigns ids; the parent table
        (parent id, -1 for the initial state, and the label of the step
        in) and the frontier hold ids, never whole structural states.
-       The label array is created by the first labelled step. *)
-    let store = ref (Array.make 1024 initial) in
-    let parent = ref (Array.make 1024 (-1)) in
+       Everything starts small, since many runs store a few dozen
+       states; the label array is created by the first labelled
+       step. *)
+    let cap0 = 64 in
+    let store = ref (Array.make cap0 initial) in
+    let parent = ref (Array.make cap0 (-1)) in
     let labels = ref [||] in
     let nstored = ref 0 in
-    let grow a fill =
-      let bigger = Array.make (2 * !nstored) fill in
-      Array.blit a 0 bigger 0 !nstored;
+    let grow a n fill =
+      let bigger = Array.make (2 * n) fill in
+      Array.blit a 0 bigger 0 n;
       bigger
     in
     let add_state st =
       if !nstored = Array.length !store then begin
-        store := grow !store initial;
-        parent := grow !parent (-1);
-        if Array.length !labels > 0 then labels := grow !labels !labels.(0)
+        store := grow !store !nstored initial;
+        parent := grow !parent !nstored (-1);
+        if Array.length !labels > 0 then
+          labels := grow !labels !nstored !labels.(0)
       end;
       !store.(!nstored) <- st;
       incr nstored;
@@ -158,81 +162,87 @@ module Make (S : STATE_SPACE) = struct
     in
     let state_of id = !store.(id) in
     (* dedup: exact table over the client key, then the coverage
-       antichain; a query that misses both inserts into both *)
+       antichain.  A successor may be a buffer the client reuses, so a
+       probe that misses both leaves its key, hash and antichain slot
+       pending, and [store_fresh] keeps the state and inserts the kept
+       copy into both. *)
+    let key0 = S.key initial in
     let xt =
       if exact then Some (Oa.create ~equal:S.Key.equal ~hash:S.Key.hash)
       else None
     in
-    let dedup_hits = ref 0 and cover_hits = ref 0 in
-    let cover_seen =
+    let xkey = ref key0 and xhash = ref 0 in
+    let ct =
       Option.map
-        (fun (Coverage c) ->
-          let tbl = Oa.create ~equal:c.ck_equal ~hash:c.ck_hash in
-          fun st ->
-            let k, abs = c.split st in
-            let h = Oa.hash tbl k in
-            let i = Oa.find tbl h k in
-            if i < 0 then begin
-              Oa.add tbl h k [ abs ];
-              false
-            end
-            else begin
-              let chain = tbl.Oa.vals.(i) in
-              any_covers c.covers abs chain
-              || begin
-                   tbl.Oa.vals.(i) <- abs :: drop_covered c.covers abs chain;
-                   false
-                 end
-            end)
+        (fun c -> (c, Oa.create ~equal:c.group_equal ~hash:c.group_hash))
         coverage
     in
-    let covered st =
-      match cover_seen with
-      | Some f when f st ->
-        incr cover_hits;
-        true
-      | Some _ | None -> false
-    in
+    let crep = ref initial and chash = ref 0 and cslot = ref (-1) in
+    let dedup_hits = ref 0 and cover_hits = ref 0 in
     let seen st =
-      match xt with
-      | Some xt ->
-        let k = S.key st in
-        let h = Oa.hash xt k in
-        if Oa.find xt h k >= 0 then begin
-          incr dedup_hits;
-          true
-        end
-        else
-          covered st
-          || begin
-               Oa.add xt h k ();
-               false
-             end
-      | None -> covered st
+      (match xt with
+       | Some xt ->
+         let k = S.key st in
+         let h = Oa.hash xt k in
+         xkey := k;
+         xhash := h;
+         Oa.find xt h k >= 0 && (incr dedup_hits; true)
+       | None -> false)
+      ||
+      match ct with
+      | Some (c, tbl) ->
+        let rep = c.canon st in
+        let h = Oa.hash tbl rep in
+        let i = Oa.find tbl h rep in
+        crep := rep;
+        chash := h;
+        cslot := i;
+        i >= 0
+        && any_covers c.covers rep tbl.Oa.vals.(i)
+        && (incr cover_hits; true)
+      | None -> false
+    in
+    let store_fresh st kept =
+      let id = add_state kept in
+      (match xt with
+       | Some xt ->
+         Oa.add xt !xhash (if kept == st then !xkey else S.key kept) ()
+       | None -> ());
+      (match ct with
+       | Some (c, tbl) ->
+         let e = if !crep == st then kept else S.keep !crep in
+         if !cslot < 0 then Oa.add tbl !chash e [ e ]
+         else
+           tbl.Oa.vals.(!cslot) <-
+             e :: drop_covered c.covers e tbl.Oa.vals.(!cslot)
+       | None -> ());
+      id
     in
     (* the frontier holds ids.  Every state that survives dedup is
        stored and pushed at once (a stored target or a spent state cap
        ends the search), so the FIFO queue is exactly the ids
        [next, nstored) and needs no structure of its own; the LIFO one
-       is a list with its depth alongside. *)
-    let next = ref 0 and stack = ref [] and stacked = ref 0 in
+       is an int array grown by doubling. *)
+    let next = ref 0 in
+    let stack = ref (match order with Bfs -> [||] | Dfs -> Array.make cap0 0) in
+    let stacked = ref 0 in
     let push id =
       match order with
       | Bfs -> ()
       | Dfs ->
-        stack := id :: !stack;
+        if !stacked = Array.length !stack then
+          stack := grow !stack !stacked 0;
+        !stack.(!stacked) <- id;
         incr stacked
     in
     let pop () =
-      match (order, !stack) with
-      | Bfs, _ ->
+      match order with
+      | Bfs ->
         incr next;
         !next - 1
-      | Dfs, id :: rest ->
-        stack := rest;
+      | Dfs ->
         decr stacked;
-        id
-      | Dfs, [] -> assert false
+        !stack.(!stacked)
     in
     let waiting () =
       match order with Bfs -> !nstored - !next | Dfs -> !stacked
@@ -276,21 +286,23 @@ module Make (S : STATE_SPACE) = struct
        | _ -> false)
       || deadline_hit ()
     in
-    let process parent_id (label, succ) =
+    (* the id being expanded: one [emit] closure serves the whole run *)
+    let current = ref 0 in
+    let emit label succ =
       incr transitions;
       (match on_edge with Some f -> f label succ | None -> ());
-      if target_check = `Generate && S.is_target (Some label) succ then begin
-        let id = add_state succ in
-        link id parent_id label;
+      if target_check = `Generate && S.is_target succ then begin
+        let id = add_state (S.keep succ) in
+        link id !current label;
         found := id;
         raise_notrace Exit
       end;
       if not (seen succ) then begin
-        let id = add_state succ in
+        let id = store_fresh succ (S.keep succ) in
         incr states;
-        link id parent_id label;
-        (match on_insert with Some f -> f succ | None -> ());
-        if target_check = `Insert && S.is_target (Some label) succ then begin
+        link id !current label;
+        (match on_insert with Some f -> f (state_of id) | None -> ());
+        if target_check = `Insert && S.is_target (state_of id) then begin
           found := id;
           raise_notrace Exit
         end;
@@ -303,25 +315,20 @@ module Make (S : STATE_SPACE) = struct
         if waiting () > !waiting_peak then waiting_peak := waiting ()
       end
     in
-    let rec expand parent_id = function
-      | [] -> ()
-      | edge :: rest ->
-        process parent_id edge;
-        expand parent_id rest
-    in
     (* seed with the initial state (id 0) *)
-    let id0 = add_state initial in
     ignore (seen initial);
+    let id0 = store_fresh initial initial in
     (match on_insert with Some f -> f initial | None -> ());
     push id0;
-    if target_check = `Insert && S.is_target None initial then found := id0;
+    if target_check = `Insert && S.is_target initial then found := id0;
     (try
        while waiting () > 0 && !found < 0 do
          incr pops;
          heartbeat_tick ();
          if pop_budget () then raise_notrace Exit;
          let id = pop () in
-         expand id (S.successors (state_of id))
+         current := id;
+         S.successors (state_of id) emit
        done
      with Exit -> ());
     let elapsed = Obs.Clock.now () -. t0 in

@@ -31,9 +31,7 @@ type order =
 
 (** What a client must provide: states, labelled successor generation,
     a typed dedup key with explicit equality and hashing (no
-    polymorphic magic), and the target predicate.  [is_target] receives
-    the label that produced the state, or [None] for the initial
-    state. *)
+    polymorphic magic), and the target predicate. *)
 module type STATE_SPACE = sig
   type state
   type label
@@ -41,24 +39,38 @@ module type STATE_SPACE = sig
   module Key : Hashtbl.HashedType
 
   val key : state -> Key.t
-  val successors : state -> (label * state) list
-  val is_target : label option -> state -> bool
+
+  val successors : state -> (label -> state -> unit) -> unit
+  (** [successors st emit] calls [emit label succ] once per successor,
+      in order.  [succ] may be a buffer the client overwrites after
+      [emit] returns: the engine {!keep}s every state it stores, and
+      reads no other successor after [emit] returns. *)
+
+  val keep : state -> state
+  (** A copy of a successor that outlives the next one — the identity
+      for a client whose successors are fresh values. *)
+
+  val is_target : state -> bool
 end
 
 module Make (S : STATE_SPACE) : sig
-  (** Antichain subsumption: states are grouped by a coverage key and,
-      within a group, a candidate covered by a stored abstract element
-      is pruned ([covers stored candidate]); on insertion, stored
-      elements covered by the newcomer are dropped.  [split] computes
-      the group key and the abstract element in one pass. *)
-  type coverage =
-    | Coverage : {
-        split : S.state -> 'ck * 'abs;
-        ck_equal : 'ck -> 'ck -> bool;
-        ck_hash : 'ck -> int;
-        covers : 'abs -> 'abs -> bool;
-      }
-        -> coverage
+  (** Antichain subsumption over representatives: [canon] maps a
+      candidate to the state the antichain compares — the identity, or
+      a canonical relabelling for a client that quotients its space; it
+      may return the candidate itself or a client buffer.
+      Representatives are grouped by [group_hash]/[group_equal] and,
+      within a group, a candidate covered by a stored one is pruned
+      ([covers stored candidate]); on insertion, stored representatives
+      covered by the newcomer are dropped.  A probe allocates nothing
+      of its own: the antichain keeps a representative (sharing the
+      stored copy of the state when [canon] returned the state itself)
+      only on insertion. *)
+  type coverage = {
+    canon : S.state -> S.state;
+    group_hash : S.state -> int;
+    group_equal : S.state -> S.state -> bool;
+    covers : S.state -> S.state -> bool;
+  }
 
   type outcome =
     | Found of S.state  (** the target was reached; witness attached *)
@@ -110,9 +122,10 @@ module Make (S : STATE_SPACE) : sig
       the hit state is recorded but not counted — the regime of a
       client whose error states must never enter the visited set.
 
-      [on_edge] runs for every generated successor, [on_insert] for
-      every stored state (including the initial), both in generation
-      order.  [initial_peak] (default [0]) seeds
+      [on_edge] runs for every generated successor (as emitted, so it
+      must not retain it), [on_insert] for every stored state
+      (including the initial, as kept), both in generation order.  The
+      initial state is stored as given.  [initial_peak] (default [0]) seeds
       the frontier-depth statistic for clients that count the initial
       state.  [metrics_prefix] emits [<p>.states], [<p>.transitions],
       [<p>.waiting_peak] and [<p>.states_per_sec] through {!Obs} when

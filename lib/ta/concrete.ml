@@ -238,18 +238,14 @@ let enumerate ?(max_states = 1_000_000) ~norm net =
 
     let key s = s
 
-    let successors s =
-      let delay =
-        if can_delay net s then
-          [ ((), norm (fst (step net (fun _ _ -> None) s))) ]
-        else []
-      in
-      delay
-      @ List.map
-          (fun a -> ((), norm (fst (step net (fun _ _ -> Some a) s))))
-          (enabled net s)
+    let successors s emit =
+      if can_delay net s then emit () (norm (fst (step net (fun _ _ -> None) s)));
+      List.iter
+        (fun a -> emit () (norm (fst (step net (fun _ _ -> Some a) s))))
+        (enabled net s)
 
-    let is_target _ _ = false
+    let keep = Fun.id
+    let is_target _ = false
   end) in
   let r =
     Space.run ~max_states ~max_states_check:`Insert

@@ -185,7 +185,6 @@ let pack_disc locs store =
   Array.blit store 0 a nl ns;
   a
 
-type dkey = { dh : int; disc : int array }
 type xkey = { xh : int; xdisc : int array; zone : int }
 
 module Zone_tbl = Hashtbl.Make (Dbm)
@@ -221,24 +220,35 @@ let run_impl ~max_states ~deadline ~inclusion net target =
       let zone = intern st.Network.zone in
       { xh = fnv (zone * 0x9e3779b1) disc; xdisc = disc; zone }
 
-    let successors st = successors_counted ~extra net st
-    let is_target _ (st : Network.state) =
+    (* a state's successors are all generated (and extrapolated)
+       before the first is processed, so [extrapolations] counts the
+       whole of an expansion a target cuts short *)
+    let successors st emit =
+      List.iter (fun (label, s) -> emit label s) (successors_counted ~extra net st)
+
+    let keep = Fun.id
+
+    let is_target (st : Network.state) =
       target ~locs:st.Network.locs ~store:st.Network.store
   end) in
   let coverage =
     if not inclusion then None
     else
       Some
-        (Space.Coverage
-           {
-             split =
-               (fun (st : Network.state) ->
-                 let disc = pack_disc st.Network.locs st.Network.store in
-                 ({ dh = fnv 0 disc; disc }, st.Network.zone));
-             ck_equal = (fun a b -> a.dh = b.dh && array_eq a.disc b.disc);
-             ck_hash = (fun k -> k.dh);
-             covers = (fun passed candidate -> Dbm.includes passed candidate);
-           })
+        {
+          Space.canon = Fun.id;
+          (* grouped by the discrete part: locations, then store *)
+          group_hash =
+            (fun (st : Network.state) ->
+              fnv 0 (pack_disc st.Network.locs st.Network.store));
+          group_equal =
+            (fun (a : Network.state) b ->
+              array_eq a.Network.locs b.Network.locs
+              && array_eq a.Network.store b.Network.store);
+          covers =
+            (fun (passed : Network.state) candidate ->
+              Dbm.includes passed.Network.zone candidate.Network.zone);
+        }
   in
   let r =
     Space.run ~exact:true ?coverage ~max_states ~max_states_check:`Insert

@@ -154,22 +154,38 @@ let test_disturb_non_steady_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* a bounded working form collapses a [Safe] application whose budget
+   is spent straight to [Steady] (the bounded verifier relies on it to
+   shrink its state space), and keeps the quiet countdown of one with
+   budget left *)
 let test_force_steady () =
+  let module S = Sched.Slot_state in
+  let module P = S.Packed in
   let specs = single in
-  let st = Sched.Slot_state.initial specs in
-  let st, _ = tick specs st [ 0 ] in
-  let st = ref st in
-  for _ = 1 to 3 do
-    let st', _ = tick specs !st [] in
-    st := st'
-  done;
-  (match Sched.Slot_state.phase !st 0 with
-   | Sched.Slot_state.Safe _ -> ()
+  let after_release instances =
+    let l = P.layout ~instances specs in
+    let w = P.work l in
+    let tick disturbed =
+      ignore
+        (S.tick_into ~policy:S.Eager_preempt ~slot_available:true specs w
+           ~disturbed)
+    in
+    tick [| 0 |];
+    for _ = 1 to 3 do
+      tick [||]
+    done;
+    let e = Array.make (P.length l) 0 in
+    P.write l w e;
+    (P.decode l e, P.budget l e 0)
+  in
+  let spent, left = after_release 1 in
+  check_bool "snapped" true (S.all_steady spent);
+  check_int "budget spent" 0 left;
+  let kept, left = after_release 2 in
+  (match S.phase kept 0 with
+   | S.Safe { age } -> check_int "quiet age kept" 3 age
    | _ -> Alcotest.fail "expected safe");
-  let forced = Sched.Slot_state.force_steady !st ~keep_quiet:(fun _ -> false) in
-  check_bool "snapped" true (Sched.Slot_state.all_steady forced);
-  let kept = Sched.Slot_state.force_steady !st ~keep_quiet:(fun _ -> true) in
-  check_bool "kept" true (Sched.Slot_state.equal kept !st)
+  check_int "budget left" 1 left
 
 let test_lazy_preemption_postponed () =
   (* under Lazy_preempt the occupant keeps the slot until a waiter is on
@@ -371,13 +387,15 @@ let prop_single_owner =
       done;
       !ok)
 
-(* The packed codec over runs of random 2-4-app groups: on every state
-   [tick] reaches (either policy, with blackouts, raw and after the
-   bounded verifier's [force_steady] normalisation), decoding inverts
-   encoding, equal encodings are equal states with equal budgets, the
-   age split zeroes exactly the [Safe] ages, and when apps 0 and 1 are
-   twins the symmetry sort orders them like the polymorphic order on
-   (phase, budget, buffer position, ownership). *)
+(* The packed codec over runs of random 2-4-app groups, ticked in a
+   working form (either policy, with blackouts, bounded or not): on every
+   state reached, decoding inverts encoding through both the boxed and
+   the working form, equal encodings are equal states with equal
+   budgets, the disturbable bit set matches [disturbable], the
+   antichain's comparisons agree with the decoded states (same state
+   but for [Safe] ages, every age at least as large), and when apps 0
+   and 1 are twins the symmetry sort orders them like the polymorphic
+   order on (phase, budget, buffer position, ownership). *)
 let gen_codec_run =
   QCheck2.Gen.(
     let* n = int_range 2 4 in
@@ -401,10 +419,8 @@ let prop_packed_codec =
       (* instances = 0 is the unbounded verifier: no budget field *)
       let bounded = instances > 0 in
       let layout = if bounded then P.layout ~instances specs else P.layout specs in
+      let w = P.work layout and w' = P.work layout in
       let budget = Array.make n instances in
-      let encode st =
-        if bounded then P.encode layout ~budget st else P.encode layout st
-      in
       let bufpos st i =
         let rec go k = function
           | [] -> -1
@@ -412,33 +428,50 @@ let prop_packed_codec =
         in
         go 0 st.S.buffer
       in
+      let quiet st = Array.map (function S.Safe _ -> S.Safe { age = 0 } | p -> p) st.S.phases in
+      let age st i = match S.phase st i with S.Safe { age } -> age | _ -> 0 in
       let seen = Hashtbl.create 64 in
+      let reached = ref [] in
       let ok = ref true in
       let expect b = if not b then ok := false in
-      let check st =
-        let e = encode st in
+      let check () =
+        let e = Array.make (P.length layout) 0 in
+        P.write layout w e;
+        let st = P.decode layout e in
         let b = if bounded then Array.copy budget else Array.make n 0 in
-        expect (S.equal (P.decode layout e) st);
+        expect
+          (e = if bounded then P.encode layout ~budget:b st else P.encode layout st);
+        P.read layout e w';
+        let e' = Array.make (P.length layout) 0 in
+        P.write layout w' e';
+        expect (e = e');
         Array.iteri (fun i v -> expect (P.budget layout e i = v)) b;
+        expect (P.has_error layout e = S.has_error st);
         (match Hashtbl.find_opt seen e with
          | Some (st', b') -> expect (S.equal st st' && b = b')
          | None -> Hashtbl.add seen e (st, b));
-        let masked, ages = P.split_ages layout e in
-        let m = P.decode layout masked in
-        let safe_ages = ref [] in
-        for i = n - 1 downto 0 do
-          match S.phase st i with
-          | S.Safe { age } ->
-            safe_ages := age :: !safe_ages;
-            expect (S.phase m i = S.Safe { age = 0 })
-          | p -> expect (S.phase m i = p)
-        done;
-        expect (Array.to_list ages = !safe_ages);
+        List.iter
+          (fun (e2, st2, b2) ->
+            let same = quiet st = quiet st2 && st.S.buffer = st2.S.buffer
+                       && st.S.owner = st2.S.owner && b = b2 in
+            expect (P.equal_quiet layout e e2 = same);
+            if same then begin
+              expect (P.hash_quiet layout e = P.hash_quiet layout e2);
+              expect
+                (P.older layout e e2
+                = List.for_all (fun i -> age st i >= age st2 i) (List.init n Fun.id))
+            end)
+          !reached;
+        reached := (e, st, b) :: !reached;
         if twin then begin
-          let c = P.sort_apps layout [ [| 0; 1 |] ] e in
+          let c =
+            P.sort_apps layout [| [| 0; 1 |] |] e
+              ~into:(Array.make (P.length layout) 0)
+          in
           let d = P.decode layout c in
           let descr i = (S.phase st i, b.(i), bufpos st i, st.S.owner = Some i) in
           let lo, hi = if compare (descr 0) (descr 1) > 0 then (1, 0) else (0, 1) in
+          expect ((c == e) = (lo = 0));
           List.iter
             (fun (slot, from) ->
               expect (S.phase d slot = S.phase st from);
@@ -448,11 +481,11 @@ let prop_packed_codec =
           for i = 2 to n - 1 do
             expect (S.phase d i = S.phase st i)
           done
-        end
+        end;
+        st
       in
       let policy = if lazy_ then S.Lazy_preempt else S.Eager_preempt in
-      let st = ref (S.initial specs) in
-      check !st;
+      let st = ref (check ()) in
       for k = 0 to 50 do
         let disturbed =
           List.filter
@@ -460,18 +493,17 @@ let prop_packed_codec =
               ((not bounded) || budget.(id) > 0) && List.mem k plans.(id))
             (S.disturbable specs !st)
         in
-        List.iter (fun id -> budget.(id) <- budget.(id) - 1) disturbed;
-        let st', _ =
-          S.tick ~policy ~slot_available:(not (List.mem k blackouts)) specs !st
-            ~disturbed
+        let allowed =
+          List.filter (fun id -> (not bounded) || budget.(id) > 0) (S.disturbable specs !st)
         in
-        check st';
-        if bounded then begin
-          let quiet = S.force_steady st' ~keep_quiet:(fun i -> budget.(i) > 0) in
-          check quiet;
-          st := quiet
-        end
-        else st := st'
+        expect
+          (S.disturbable_mask specs w
+          = List.fold_left (fun m id -> m lor (1 lsl id)) 0 allowed);
+        List.iter (fun id -> budget.(id) <- budget.(id) - 1) disturbed;
+        ignore
+          (S.tick_into ~policy ~slot_available:(not (List.mem k blackouts)) specs w
+             ~disturbed:(Array.of_list disturbed));
+        st := check ()
       done;
       !ok)
 
@@ -575,9 +607,235 @@ let prop_error_is_absorbing =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* The boxed transition function as it was before it became a wrapper
+   over [tick_into], kept verbatim as the reference the wrapper is
+   compared with.  Only the state record is local: [Slot_state.t] is
+   private. *)
+module Reference_tick = struct
+  open Sched.Slot_state
+  module Appspec = Sched.Appspec
+
+  type t = { phases : phase array; buffer : int list; owner : int option }
+
+  (* EDF insertion implementing the Sort automaton: the new request is
+     placed before the first queued request with strictly larger slack.
+     Slack of a waiting app = t_w_max - wt. *)
+  let slack specs phases i =
+    match phases.(i) with
+    | Waiting { wt } -> specs.(i).Appspec.t_w_max - wt
+    | Steady | Running _ | Safe _ | Error ->
+      invalid_arg "Slot_state: non-waiting id in buffer"
+
+  let rec insert_edf specs phases s_new id = function
+    | [] -> [ id ]
+    | q :: rest as all ->
+      if slack specs phases q > s_new then id :: all
+      else q :: insert_edf specs phases s_new id rest
+
+  (* admit the disturbances of one tick, in arrival order *)
+  let rec admit specs phases buffer = function
+    | [] -> buffer
+    | id :: rest ->
+      if id < 0 || id >= Array.length specs then
+        invalid_arg "Slot_state.tick: bad id";
+      (match phases.(id) with
+       | Steady -> phases.(id) <- Waiting { wt = 0 }
+       | Waiting _ | Running _ | Safe _ | Error ->
+         invalid_arg
+           (Printf.sprintf
+              "Slot_state.tick: disturbance for %s while not steady \
+               (violates the sporadic model)"
+              specs.(id).Appspec.name));
+      admit specs phases
+        (insert_edf specs phases (slack specs phases id) id buffer)
+        rest
+
+  let tick ?(policy = Eager_preempt) ?(slot_available = true) specs state ~disturbed =
+    let n = Array.length specs in
+    let phases = Array.copy state.phases in
+    (* 1. aging, and 2. quiet period over: an application whose
+       post-disturbance quiet time reaches [r] returns to [Steady] *)
+    for i = 0 to n - 1 do
+      match phases.(i) with
+      | Steady | Error -> ()
+      | Waiting { wt } -> phases.(i) <- Waiting { wt = wt + 1 }
+      | Running r -> phases.(i) <- Running { r with ct = r.ct + 1 }
+      | Safe { age } ->
+        phases.(i) <-
+          (if age + 1 >= specs.(i).Appspec.r then Steady else Safe { age = age + 1 })
+    done;
+    (* 3. admit new disturbances *)
+    let buffer = ref (admit specs phases state.buffer disturbed) in
+    (* 4. deadline misses: an application that has waited past T*_w can
+       no longer be served within its table and is in error; it must be
+       flagged (and dropped from the buffer) before any grant so the
+       dwell lookup below never sees an out-of-range wait *)
+    let new_errors = ref [] in
+    for i = n - 1 downto 0 do
+      match phases.(i) with
+      | Waiting { wt } when wt > specs.(i).Appspec.t_w_max ->
+        phases.(i) <- Error;
+        new_errors := i :: !new_errors
+      | Waiting _ | Steady | Running _ | Safe _ | Error -> ()
+    done;
+    (match !new_errors with
+     | [] -> ()
+     | _ :: _ ->
+       buffer :=
+         List.filter
+           (fun id -> match phases.(id) with Waiting _ -> true | _ -> false)
+           !buffer);
+    (* 5. slot update; the buffer head is granted at the end when [grant]
+       is set *)
+    let released = ref [] and preempted = ref [] and denied = ref [] in
+    let owner = ref state.owner and grant = ref false in
+    if not slot_available then begin
+      (* TT slot blackout: the occupant is evicted to ET mode (its dwell
+         may be cut below T-_dw — the guarantee monitor's business, not
+         ours) and nobody is granted; waiting applications keep aging
+         towards Error *)
+      match !owner with
+      | None -> ()
+      | Some id ->
+        (match phases.(id) with
+         | Running { ct; wt_granted; _ } ->
+           phases.(id) <- Safe { age = wt_granted + ct };
+           owner := None;
+           denied := [ id ]
+         | Steady | Waiting _ | Safe _ | Error ->
+           invalid_arg "Slot_state: owner not running")
+    end
+    else
+    (match !owner with
+     | None -> grant := true
+     | Some id ->
+       (match phases.(id) with
+        | Running { ct; dt_max; dt_min; wt_granted } ->
+          (* the quiet timer of ET_SAFE runs from the sample at which the
+             scheduler first saw the disturbance (the paper's time[id]),
+             which is wt_granted + ct samples ago *)
+          if ct >= dt_max then begin
+            (* voluntary release at the maximum useful dwell *)
+            phases.(id) <- Safe { age = wt_granted + ct };
+            owner := None;
+            released := [ id ];
+            grant := true
+          end
+          else if
+            ct >= dt_min
+            && (match !buffer with [] -> false | _ :: _ -> true)
+            && (match policy with
+                | Eager_preempt -> true
+                | Lazy_preempt ->
+                  (* postpone until some waiter is on its last chance *)
+                  List.exists
+                    (fun i ->
+                      match phases.(i) with
+                      | Waiting { wt } -> wt >= specs.(i).Appspec.t_w_max
+                      | Steady | Running _ | Safe _ | Error -> false)
+                    !buffer)
+          then begin
+            (* preemption once the minimum dwell is honoured *)
+            phases.(id) <- Safe { age = wt_granted + ct };
+            owner := None;
+            preempted := [ id ];
+            grant := true
+          end
+        | Steady | Waiting _ | Safe _ | Error ->
+          invalid_arg "Slot_state: owner not running"));
+    let granted = ref [] in
+    (if !grant then
+       match !buffer with
+       | [] -> ()
+       | id :: rest ->
+         (match phases.(id) with
+          | Waiting { wt } ->
+            let dt_min = specs.(id).Appspec.t_dw_min.(wt)
+            and dt_max = specs.(id).Appspec.t_dw_max.(wt) in
+            phases.(id) <- Running { wt_granted = wt; ct = 0; dt_min; dt_max };
+            buffer := rest;
+            owner := Some id;
+            granted := [ (id, wt) ]
+          | Steady | Running _ | Safe _ | Error ->
+            invalid_arg "Slot_state: buffer head not waiting"));
+    ( { phases; buffer = !buffer; owner = !owner },
+      {
+        granted = !granted;
+        released = !released;
+        preempted = !preempted;
+        new_errors = !new_errors;
+        denied = !denied;
+      } )
+end
+
+(* 1-5-application groups, some applications identical-timing twins of
+   an earlier one, ticked along a random walk: at every step a random
+   subset of the disturbable applications in a random arrival order,
+   and now and then a slot blackout.  The wrapper and the reference
+   start from the same state, and each step continues from the
+   reference's result (checked equal to the wrapper's, field by field,
+   before the next step is taken). *)
+let gen_walk =
+  QCheck2.Gen.(
+    let* n = int_range 1 5 in
+    let* specs = list_repeat n gen_small_spec in
+    let* twins = list_repeat n (int_range 0 3) in
+    let* lazy_ = bool in
+    let* steps =
+      list_size (int_range 10 60)
+        (triple (int_range 0 31) (int_range 0 1_000_000) (int_range 0 7))
+    in
+    let specs = Array.of_list specs in
+    List.iteri
+      (fun i t -> if i > 0 && t = 0 then specs.(i) <- specs.(i - 1))
+      twins;
+    let specs = Array.mapi (fun i s -> Sched.Appspec.with_id s i) specs in
+    return (specs, lazy_, steps))
+
+let prop_tick_matches_reference =
+  QCheck2.Test.make ~name:"tick matches the reference transition" ~count:300
+    gen_walk
+    (fun (specs, lazy_, steps) ->
+      let module S = Sched.Slot_state in
+      let module R = Reference_tick in
+      let policy = if lazy_ then S.Lazy_preempt else S.Eager_preempt in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let st = ref (S.initial specs) in
+      let rst =
+        ref { R.phases = !st.S.phases; buffer = !st.S.buffer; owner = !st.S.owner }
+      in
+      List.iter
+        (fun (pick, seed, blackout) ->
+          let avail = S.disturbable specs !st in
+          let chosen = List.filteri (fun k _ -> pick land (1 lsl k) <> 0) avail in
+          let rng = Random.State.make [| seed |] in
+          let disturbed =
+            List.map snd
+              (List.sort compare
+                 (List.map (fun id -> (Random.State.bits rng, id)) chosen))
+          in
+          let slot_available = blackout <> 0 in
+          let st', out = S.tick ~policy ~slot_available specs !st ~disturbed in
+          let rst', rout = R.tick ~policy ~slot_available specs !rst ~disturbed in
+          expect (st'.S.phases = rst'.R.phases);
+          expect (st'.S.buffer = rst'.R.buffer);
+          expect (st'.S.owner = rst'.R.owner);
+          expect (out.S.granted = rout.S.granted);
+          expect (out.S.released = rout.S.released);
+          expect (out.S.preempted = rout.S.preempted);
+          expect (out.S.new_errors = rout.S.new_errors);
+          expect (out.S.denied = rout.S.denied);
+          st := st';
+          rst := rst')
+        steps;
+      !ok)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_tick_matches_reference;
       prop_min_dwell_respected;
       prop_single_owner;
       prop_packed_codec;

@@ -40,8 +40,9 @@ module Ints = Search.Make (struct
   end
 
   let key s = s
-  let successors s = !graph s
-  let is_target _ s = s >= 1_000_000
+  let successors s emit = List.iter (fun (l, s') -> emit l s') (!graph s)
+  let keep = Fun.id
+  let is_target s = s >= 1_000_000
 end)
 
 let insert_order ?order graph_fn initial =
@@ -146,8 +147,8 @@ let test_trace () =
   in
   Alcotest.(check bool) "each step is a successor edge" true (ok 0 r.Ints.trace)
 
-(* pair states so coverage can split them into a group key and an
-   ordered abstract element *)
+(* pair states so coverage can group them by the first component and
+   order them by the second *)
 let pair_graph : (int * int -> (string * (int * int)) list) ref =
   ref (fun _ -> [])
 
@@ -163,8 +164,9 @@ module Pairs = Search.Make (struct
   end
 
   let key s = s
-  let successors s = !pair_graph s
-  let is_target _ _ = false
+  let successors s emit = List.iter (fun (l, s') -> emit l s') (!pair_graph s)
+  let keep = Fun.id
+  let is_target _ = false
 end)
 
 let test_coverage () =
@@ -174,13 +176,12 @@ let test_coverage () =
      | 0, 3 -> [ ("boom", (9, 9)) ]
      | _ -> []);
   let coverage =
-    Pairs.Coverage
-      {
-        split = (fun (g, v) -> (g, v));
-        ck_equal = Int.equal;
-        ck_hash = Hashtbl.hash;
-        covers = (fun stored cand -> stored >= cand);
-      }
+    {
+      Pairs.canon = Fun.id;
+      group_hash = (fun (g, _) -> Hashtbl.hash g);
+      group_equal = (fun (g, _) (g', _) -> Int.equal g g');
+      covers = (fun (_, stored) (_, cand) -> stored >= cand);
+    }
   in
   let r = Pairs.run ~exact:false ~coverage (0, 5) in
   (* (0,3) is covered by the stored (0,5) and pruned, so its successor
@@ -248,10 +249,26 @@ let test_pin_dverify () =
   check_result "C1C5 reference" (Core.Dverify.reference c1c5) ~verdict:"Safe"
     ~states:676 ~transitions:784 ~max_wait:"[|3;3|]"
 
+(* the exact minor words [f] allocates on this domain *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
+let check_words_per_state label (r : Core.Dverify.result) words ~limit =
+  let per_state = words /. float_of_int r.Core.Dverify.stats.Core.Dverify.states in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.1f minor words per state, at most %d" label per_state
+       limit)
+    true
+    (per_state <= float_of_int limit)
+
 let test_pin_dverify_s1 () =
   let s1 = Lazy.force s1 in
-  check_result "S1 engine" (Core.Dverify.verify s1) ~verdict:"Safe"
-    ~states:53643 ~transitions:75222 ~max_wait:"[|11;11;9;13|]";
+  let r, words = minor_words (fun () -> Core.Dverify.verify s1) in
+  check_result "S1 engine" r ~verdict:"Safe" ~states:53643 ~transitions:75222
+    ~max_wait:"[|11;11;9;13|]";
+  check_words_per_state "S1 engine" r words ~limit:15;
   check_result "S1 reference" (Core.Dverify.reference s1) ~verdict:"Safe"
     ~states:1431246 ~transitions:1812394 ~max_wait:"[|11;11;9;13|]"
 
@@ -403,6 +420,23 @@ let trio =
      in
      [| spec ~name:"A" ~id:0; spec ~name:"B" ~id:1; spec ~name:"C" ~id:2 |])
 
+(* bench X15's four clones: dwell 2, worst interference 3 x 2 = 6 =
+   T*_w, so Safe exactly at the boundary; the quotient and the antichain
+   do most of the work, and a run this short shows its set-up cost *)
+let x15 =
+  lazy
+    (Array.init 4 (fun id ->
+         Sched.Appspec.make ~id
+           ~name:(Printf.sprintf "H%d" (id + 1))
+           ~t_w_max:6 ~t_dw_min:(Array.make 7 2) ~t_dw_max:(Array.make 7 2)
+           ~r:9))
+
+let test_symmetry_x15_allocation () =
+  let r, words = minor_words (fun () -> Core.Dverify.verify (Lazy.force x15)) in
+  check_result "X15 engine" r ~verdict:"Safe" ~states:323 ~transitions:1152
+    ~max_wait:"[|6;6;6;6|]";
+  check_words_per_state "X15 engine" r words ~limit:60
+
 let dv_fingerprint (r : Core.Dverify.result) =
   let v =
     match r.Core.Dverify.verdict with
@@ -540,5 +574,7 @@ let () =
             test_symmetry_jobs_determinism;
           Alcotest.test_case "orbit_collapsed metric" `Quick
             test_symmetry_orbit_metric;
+          Alcotest.test_case "X15 clones allocation" `Quick
+            test_symmetry_x15_allocation;
         ] );
     ]
