@@ -264,48 +264,62 @@ let disturbable_mask specs w =
 let load t w =
   if Array.length t.phases <> Array.length w.tags then
     invalid_arg "Slot_state: state of another group";
-  Array.iteri
-    (fun i p ->
-      let tag, x, y =
-        match p with
-        | Steady -> (tag_steady, 0, 0)
-        | Error -> (tag_error, 0, 0)
-        | Waiting { wt } -> (tag_waiting, wt, 0)
-        | Running { wt_granted; ct; _ } -> (tag_running, wt_granted, ct)
-        | Safe { age } -> (tag_safe, age, 0)
-      in
-      w.tags.(i) <- tag;
-      w.xs.(i) <- x;
-      w.ys.(i) <- y)
-    t.phases;
-  w.nwait <- 0;
-  List.iter
-    (fun id ->
-      w.order.(w.nwait) <- id;
-      w.ys.(id) <- w.nwait;
-      w.nwait <- w.nwait + 1)
-    t.buffer;
-  w.occupant <- Option.value t.owner ~default:(-1)
+  for i = 0 to Array.length t.phases - 1 do
+    match t.phases.(i) with
+    | Steady ->
+      w.tags.(i) <- tag_steady;
+      w.xs.(i) <- 0;
+      w.ys.(i) <- 0
+    | Error ->
+      w.tags.(i) <- tag_error;
+      w.xs.(i) <- 0;
+      w.ys.(i) <- 0
+    | Waiting { wt } ->
+      w.tags.(i) <- tag_waiting;
+      w.xs.(i) <- wt
+    | Running { wt_granted; ct; _ } ->
+      w.tags.(i) <- tag_running;
+      w.xs.(i) <- wt_granted;
+      w.ys.(i) <- ct
+    | Safe { age } ->
+      w.tags.(i) <- tag_safe;
+      w.xs.(i) <- age;
+      w.ys.(i) <- 0
+  done;
+  let rec queue k = function
+    | [] -> w.nwait <- k
+    | id :: rest ->
+      w.order.(k) <- id;
+      w.ys.(id) <- k;
+      queue (k + 1) rest
+  in
+  queue 0 t.buffer;
+  w.occupant <- (match t.owner with Some o -> o | None -> -1)
 
 let unload specs w =
-  let phase i =
+  let phases = Array.make (Array.length specs) Steady in
+  for i = 0 to Array.length specs - 1 do
     let tag = w.tags.(i) and x = w.xs.(i) in
-    if tag = tag_steady then Steady
-    else if tag = tag_error then Error
-    else if tag = tag_waiting then Waiting { wt = x }
+    if tag = tag_error then phases.(i) <- Error
+    else if tag = tag_waiting then phases.(i) <- Waiting { wt = x }
     else if tag = tag_running then
-      Running
-        {
-          wt_granted = x;
-          ct = w.ys.(i);
-          dt_min = specs.(i).Appspec.t_dw_min.(x);
-          dt_max = specs.(i).Appspec.t_dw_max.(x);
-        }
-    else Safe { age = x }
-  in
+      phases.(i) <-
+        Running
+          {
+            wt_granted = x;
+            ct = w.ys.(i);
+            dt_min = specs.(i).Appspec.t_dw_min.(x);
+            dt_max = specs.(i).Appspec.t_dw_max.(x);
+          }
+    else if tag = tag_safe then phases.(i) <- Safe { age = x }
+  done;
+  let buffer = ref [] in
+  for k = w.nwait - 1 downto 0 do
+    buffer := w.order.(k) :: !buffer
+  done;
   {
-    phases = Array.init (Array.length specs) phase;
-    buffer = List.init w.nwait (fun k -> w.order.(k));
+    phases;
+    buffer = !buffer;
     owner = (if w.occupant < 0 then None else Some w.occupant);
   }
 
@@ -510,7 +524,7 @@ module Packed = struct
   let read l e w =
     check_length l e;
     let n = Array.length l.apps in
-    let bad () = invalid_arg "Slot_state.Packed.decode: not an encoding" in
+    let bad () = invalid_arg "Slot_state.Packed.read: not an encoding" in
     for k = 0 to n - 1 do
       w.order.(k) <- -1
     done;
@@ -553,47 +567,13 @@ module Packed = struct
       if
         x < 0 || x > a.x_mask || y < 0 || y > a.y_mask || bi < 0
         || bi > l.instances
-      then invalid_arg "Slot_state.Packed.encode: state outside the layout";
+      then invalid_arg "Slot_state.Packed.write: state outside the layout";
       Array.unsafe_set e a.word
         (Array.unsafe_get e a.word
         lor (((w.tags.(i) lsl a.tag_shift) lor (x lsl a.x_shift)
              lor (bi lsl a.budget_shift) lor y)
             lsl a.shift))
     done
-
-  let encode l ?budget t =
-    let n = Array.length l.apps in
-    let bad () = invalid_arg "Slot_state.Packed.encode: state outside the layout" in
-    if Array.length t.phases <> n then bad ();
-    (match budget with Some b when Array.length b <> n -> bad () | _ -> ());
-    let waiting = ref 0 and running = ref 0 in
-    Array.iteri
-      (fun i p ->
-        let spec = l.apps.(i).spec in
-        match p with
-        | Steady | Error | Safe _ -> ()
-        | Waiting { wt } ->
-          if (not (List.mem i t.buffer)) || wt > spec.Appspec.t_w_max then bad ();
-          incr waiting
-        | Running { wt_granted; dt_min; dt_max; _ } ->
-          if
-            t.owner <> Some i || wt_granted < 0
-            || wt_granted > spec.Appspec.t_w_max
-            || dt_min <> spec.Appspec.t_dw_min.(wt_granted)
-            || dt_max <> spec.Appspec.t_dw_max.(wt_granted)
-          then bad ();
-          incr running)
-      t.phases;
-    if
-      !waiting <> List.length t.buffer
-      || !running <> match t.owner with None -> 0 | Some _ -> 1
-    then bad ();
-    let w = make_work ~bounded:l.bounded n in
-    load t w;
-    Option.iter (fun b -> Array.blit b 0 w.budgets 0 n) budget;
-    let e = Array.make l.words 0 in
-    write l w e;
-    e
 
   let decode l e =
     let w = make_work ~bounded:l.bounded (Array.length l.apps) in
@@ -654,6 +634,7 @@ module Packed = struct
   let ages_mask l s = s - (s lsr l.wx)
 
   let hash_quiet l e =
+    check_length l e;
     let h = ref 0 in
     for k = 0 to l.words - 1 do
       let m = ages_mask l (safe_bits l e k) in
@@ -664,6 +645,8 @@ module Packed = struct
   (* a [Safe] application in only one of [a] and [b] has a different
      tag, which [a]'s mask keeps *)
   let equal_quiet l a b =
+    check_length l a;
+    check_length l b;
     let eq = ref true and k = ref 0 in
     while !eq && !k < l.words do
       let m = ages_mask l (safe_bits l a !k) in
@@ -677,6 +660,8 @@ module Packed = struct
      ages, subtracting [b]'s ages clears it exactly where [b]'s age is
      larger *)
   let older l a b =
+    check_length l a;
+    check_length l b;
     let ok = ref true and k = ref 0 in
     while !ok && !k < l.words do
       let s = safe_bits l a !k in

@@ -169,8 +169,10 @@ module Packed : sig
   (** The field layout of [specs]' states; [instances] (default: no
       budget field, unbounded working forms) bounds the
       per-application budget.  Any number of applications fits; one
-      application's field is [3 + bits(r - 1) + bits(instances) + max
-      (bits(n - 1)) (bits(max T⁺_dw))] bits.
+      application's field is [3 + wx + bits(instances) + max
+      (bits(n - 1)) (bits(max T⁺_dw))] bits, where [wx], the width of
+      every field's wait or age, is the largest [max (bits T*_w)
+      (bits(r - 1))] of the group.
       @raise Invalid_argument on a negative [instances] or when one
       application's field would exceed 49 bits. *)
 
@@ -197,14 +199,8 @@ module Packed : sig
       Allocates nothing.
       @raise Invalid_argument on a field outside the layout. *)
 
-  val encode : layout -> ?budget:int array -> t -> int array
-  (** A fresh encoding of a state; [budget] (indexed by [Appspec.id],
-      default all 0) is stored beside it.  Total on every state
-      {!initial} and {!tick} produce for the layout's specs.
-      @raise Invalid_argument on a state or budget outside the layout. *)
-
   val decode : layout -> int array -> t
-  (** Inverse of {!encode}: [decode l (encode l ?budget t)] is [t].
+  (** The state an encoding describes (its budgets aside).
       @raise Invalid_argument as {!read}. *)
 
   val budget : layout -> int array -> int -> int
