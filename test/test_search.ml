@@ -256,7 +256,9 @@ let minor_words f =
   (r, Gc.minor_words () -. w0)
 
 let check_words_per_state label (r : Core.Dverify.result) words ~limit =
-  let per_state = words /. float_of_int r.Core.Dverify.stats.Core.Dverify.states in
+  let per_state =
+    words /. float_of_int r.Core.Dverify.stats.Core.Dverify.states
+  in
   Alcotest.(check bool)
     (Printf.sprintf "%s: %.1f minor words per state, at most %d" label per_state
        limit)
